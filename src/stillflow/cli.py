@@ -374,5 +374,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StillflowError as exc:
+    except (StillflowError, ValueError) as exc:
         return _fail(EXIT_USAGE, str(exc))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

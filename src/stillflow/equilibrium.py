@@ -103,7 +103,7 @@ def residual(a: ConfigurationMatrix, strengths) -> float:
 def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
     """Find strengths that make every point of the configuration stationary.
 
-    The kernel of the interaction matrix is computed via the Jacobi SVD
+    The kernel of the interaction matrix is computed via the LAPACK SVD
     rank decision; the first basis vector, normalized to leading entry
     1+0i, is returned as the representative solution. Both the geometric
     kernel dimension and the algebraic count of near-zero eigenvalues are

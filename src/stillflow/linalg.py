@@ -1,11 +1,11 @@
 """Dense linear algebra for complex skew-symmetric matrices.
 
-The singular value decomposition is a one-sided Jacobi iteration written
-here rather than delegated, because the rank decision that identifies
-equilibria depends on high relative accuracy of the smallest singular
-values. Eigenvalues go through closed forms for exactly skew 2x2 and 3x3
-input and through the standard dense solver (Hessenberg reduction plus QR
-iteration, via numpy) otherwise, so the two spectral routes stay
+The singular value decomposition is LAPACK's (bidiagonalization plus
+divide and conquer, via numpy); the rank decision that identifies
+equilibria reads its singular values against a threshold far above their
+rounding error. Eigenvalues go through closed forms for exactly skew 2x2
+and 3x3 input and through the standard dense solver (Hessenberg reduction
+plus QR iteration, via numpy) otherwise, so the two spectral routes stay
 independent of each other. The Pfaffian is likewise computed on two
 independent paths: combinatorial recursion for small matrices and
 Householder congruence tridiagonalization for larger even dimensions.
@@ -13,15 +13,12 @@ Householder congruence tridiagonalization for larger even dimensions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ComplexArray, ConfigurationMatrix, FloatArray
 from .errors import ConvergenceFailure, OddDimension
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _as_square(a, name: str = "matrix") -> ComplexArray:
@@ -74,133 +71,24 @@ class RankReport:
     sigma: FloatArray
 
 
-def _rotation(alpha: float, beta: float, gamma: complex):
-    """Unitary 2x2 Jacobi rotation diagonalizing [[alpha, gamma], [conj, beta]].
+def svd(a) -> SvdResult:
+    """Singular value decomposition of a square matrix by LAPACK, via numpy.
 
-    Returns (c, s) with c real so that the rotated pair of columns has a
-    vanishing inner product. Derived from the real rotation after factoring
-    out the phase of gamma.
-    """
-    g = abs(gamma)
-    phase = gamma / g
-    tau = (beta - alpha) / (2.0 * g)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    return c, (t * c) * phase
-
-
-def _complete_basis(columns: list[np.ndarray], n: int, need: int) -> list[np.ndarray]:
-    """Extend an orthonormal column list by `need` vectors via Gram-Schmidt
-    on whichever canonical basis vectors have the largest residual."""
-    out = []
-    for _ in range(need):
-        best = None
-        best_norm = -1.0
-        for j in range(n):
-            r = np.zeros(n, dtype=np.complex128)
-            r[j] = 1.0
-            for q in columns + out:
-                r -= np.vdot(q, r) * q
-            rn = float(np.linalg.norm(r))
-            if rn > best_norm:
-                best_norm = rn
-                best = r
-        # twice is enough: one re-orthogonalization pass kills rounding drift
-        for q in columns + out:
-            best -= np.vdot(q, best) * q
-        best /= np.linalg.norm(best)
-        out.append(best)
-    return out
-
-
-def svd(a, tol: float = 1e-14, max_sweeps: int = 60) -> SvdResult:
-    """One-sided Jacobi singular value decomposition.
-
-    Plane rotations are applied on the right until all column pairs of the
-    working matrix are orthogonal to relative tolerance `tol`; singular
-    values are then the column norms. Jacobi is quadratically convergent
-    and, unlike bidiagonalization methods, determines tiny singular values
-    with high relative accuracy, which the rank threshold depends on.
-
-    Parameters
-    ----------
-    a:
-        ConfigurationMatrix or square complex array.
-    tol:
-        Convergence tolerance on |<w_p, w_q>| / (|w_p| |w_q|).
-    max_sweeps:
-        Cap on full pivot sweeps before ConvergenceFailure.
-
-    Returns
-    -------
-    SvdResult
-        With sigma descending (stable sort; ties keep iteration order).
-
-    Raises
-    ------
-    ConvergenceFailure
-        If the sweep cap is reached with unconverged column pairs.
+    sigma comes out descending. Its absolute error is about eps * sigma_max,
+    five orders of magnitude below the rank threshold of nullspace
+    (1e-10 * sigma_max * n), so the rank decision needs no Jacobi method's
+    relative accuracy. Raises ConvergenceFailure if LAPACK does not converge.
     """
     m = _as_square(a)
-    n = m.shape[0]
-    w = m.astype(np.complex128, copy=True)
-    v = np.eye(n, dtype=np.complex128)
-
-    converged = n < 2
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        converged = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gamma = complex(np.vdot(w[:, p], w[:, q]))
-                if gamma == 0.0:
-                    continue
-                alpha = float(np.real(np.vdot(w[:, p], w[:, p])))
-                beta = float(np.real(np.vdot(w[:, q], w[:, q])))
-                if abs(gamma) <= tol * math.sqrt(alpha * beta):
-                    continue
-                converged = False
-                c, s = _rotation(alpha, beta, gamma)
-                wp = w[:, p].copy()
-                w[:, p] = c * wp - np.conj(s) * w[:, q]
-                w[:, q] = s * wp + c * w[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - np.conj(s) * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    if not converged:
-        raise ConvergenceFailure(f"Jacobi SVD did not converge in {max_sweeps} sweeps (n={n})")
-
-    norms = np.linalg.norm(w, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    v = v[:, order]
-    w = w[:, order]
-
-    u = np.zeros((n, n), dtype=np.complex128)
-    # columns with norms at rounding level carry no direction; complete
-    # them to a unitary U instead of dividing by noise
-    cutoff = sigma[0] * n * _EPS * 10.0
-    kept = []
-    missing = []
-    for i in range(n):
-        if sigma[i] > cutoff:
-            u[:, i] = w[:, i] / sigma[i]
-            kept.append(u[:, i])
-        else:
-            missing.append(i)
-    if missing:
-        fills = _complete_basis(kept, n, len(missing))
-        for i, col in zip(missing, fills):
-            u[:, i] = col
-    return SvdResult(_readonly(u), _readonly(sigma), _readonly(v))
+    try:
+        u, sigma, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge (n={m.shape[0]}): {exc}") from exc
+    return SvdResult(_readonly(u), _readonly(sigma), _readonly(vh.conj().T))
 
 
 def nullspace(a, rel_tol: float = 1e-10) -> RankReport:
-    """Numerical rank and kernel basis from the Jacobi SVD.
+    """Numerical rank and kernel basis from the SVD.
 
     The threshold is rel_tol * sigma_max * n (with an absolute guard when
     the matrix is exactly zero). Skew-symmetric matrices have even rank;

@@ -98,7 +98,7 @@ def shannon_entropy(sigma_normalized) -> float:
 def spectral_report(a, mode: str = "power", rel_tol: float = 1e-10) -> SpectralReport:
     """Full spectral fingerprint of a configuration matrix.
 
-    Composes the Jacobi SVD, the rank threshold, normalization, entropy,
+    Composes the LAPACK SVD, the rank threshold, normalization, entropy,
     and the spectral gap. The same threshold that defines the kernel for
     the solver decides which singular values count as zero here, so both
     views of "rank" agree.

@@ -1,6 +1,10 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,15 @@ def write_config(path, points, strengths=None, metadata=None):
         tree["metadata"] = metadata
     path.write_text(json.dumps(tree))
     return str(path)
+
+
+def solved_line(tmp_path):
+    cfg = tmp_path / "c.json"
+    solved = tmp_path / "s.json"
+    main(["generate", "--line", "--n", "3", "--out", str(cfg)])
+    main(["solve", "--in", str(cfg), "--out", str(tmp_path / "r.json"),
+          "--save-config", str(solved)])
+    return str(solved)
 
 
 class TestConfigurationFiles:
@@ -197,16 +210,8 @@ class TestVerify:
 
 
 class TestField:
-    def solved_line(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        solved = tmp_path / "s.json"
-        main(["generate", "--line", "--n", "3", "--out", str(cfg)])
-        main(["solve", "--in", str(cfg), "--out", str(tmp_path / "r.json"),
-              "--save-config", str(solved)])
-        return str(solved)
-
     def test_csv_layout(self, tmp_path):
-        solved = self.solved_line(tmp_path)
+        solved = solved_line(tmp_path)
         out = tmp_path / "g.csv"
         assert main(["field", "--in", solved, "--nx", "7", "--ny", "3",
                      "--window", "-1", "2", "-1", "1", "--out", str(out)]) == EXIT_OK
@@ -219,7 +224,7 @@ class TestField:
         assert float(second[0]) == -0.5 and float(second[1]) == -1.0
 
     def test_singular_nodes_flagged(self, tmp_path):
-        solved = self.solved_line(tmp_path)
+        solved = solved_line(tmp_path)
         out = tmp_path / "g.csv"
         main(["field", "--in", solved, "--nx", "7", "--ny", "3",
               "--window", "-1", "2", "-1", "1", "--out", str(out)])
@@ -231,7 +236,7 @@ class TestField:
                 assert float(r[2]) == 0.0 and float(r[3]) == 0.0
 
     def test_ortho_rotates_field(self, tmp_path):
-        solved = self.solved_line(tmp_path)
+        solved = solved_line(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["field", "--in", solved, "--nx", "5", "--ny", "5",
                 "--window", "-2", "3", "-2", "2"]
@@ -284,6 +289,35 @@ class TestOrbit:
                      "--r0", "1", "--t-final", "1"])
         assert code == EXIT_COLLISION
         capsys.readouterr()
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize("args", [
+        ["field", "--nx", "1"],
+        ["field", "--window", "1", "0", "0", "1"],
+        ["solve", "--tol", "2"],
+        ["verify", "--dt", "0"],
+        ["orbit", "--gamma", "1", "1", "--r0", "-1"],
+    ])
+    def test_value_error_exits_2(self, tmp_path, capsys, args):
+        if args[0] != "orbit":
+            args = [args[0], "--in", solved_line(tmp_path)] + args[1:]
+        capsys.readouterr()
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_writes_output(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        out = tmp_path / "m.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stillflow.cli", "generate", "--circle", "--n", "7",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert len(json.loads(out.read_text())["points"]) == 7
 
 
 class TestRoundTrip:

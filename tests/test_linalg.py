@@ -24,6 +24,18 @@ def config_matrix(rng, n):
     return build_matrix(random_points(rng, n)).entries
 
 
+#: Pair separations for strongly graded matrices: entries near 1/gap next
+#: to entries of order one, the case where Jacobi SVD beats bidiagonalization
+#: in relative accuracy.
+GAPS = 10.0 ** -np.arange(1, 9)
+
+
+def graded_matrix(rng, n, gap):
+    z = random_points(rng, n, min_gap=2 * GAPS[0])
+    z[1] = z[0] + gap * np.exp(2j * np.pi * rng.uniform())
+    return build_matrix(z).entries
+
+
 class TestSvd:
     def test_unit_pair(self):
         res = svd(np.array([[0, -1], [1, 0]], dtype=complex))
@@ -77,15 +89,22 @@ class TestSvd:
 
     def test_paired_singular_values(self):
         rng = np.random.default_rng(24)
-        for n in (3, 5, 7, 9):
-            s = svd(config_matrix(rng, n)).sigma
+        mats = [config_matrix(rng, n) for n in (3, 5, 7, 9)]
+        mats += [graded_matrix(rng, n, gap) for n in (3, 5, 7, 9) for gap in GAPS]
+        for a in mats:
+            s = svd(a).sigma
+            n = s.size
             for k in range(0, n - 1, 2):
                 assert abs(s[k] - s[k + 1]) <= 1e-8 * s[0]
 
-    def test_sweep_budget_enforced(self):
+    def test_lapack_failure_is_typed(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
         a = config_matrix(np.random.default_rng(25), 5)
+        monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceFailure):
-            svd(a, max_sweeps=0)
+            svd(a)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -100,15 +119,22 @@ class TestNullspace:
 
     def test_odd_size_has_kernel(self):
         rng = np.random.default_rng(31)
-        for n in (3, 5, 7, 9, 11):
-            a = config_matrix(rng, n)
+        sizes = (3, 5, 7, 9, 11)
+        mats = [config_matrix(rng, n) for n in sizes]
+        mats += [graded_matrix(rng, n, gap) for n in sizes for gap in GAPS]
+        for a in mats:
             rep = nullspace(a)
+            n = a.shape[0]
             assert rep.nullity >= 1
             assert rep.rank % 2 == 0
             w = rep.basis
             assert np.linalg.norm(w.conj().T @ w - np.eye(rep.nullity)) <= 1e-10
             for k in range(rep.nullity):
                 assert np.linalg.norm(a @ w[:, k]) <= 10 * rep.threshold
+            # the last basis vector belongs to the exact zero of odd skew input
+            gamma = w[:, -1]
+            residual = np.linalg.norm(a @ gamma) / np.linalg.norm(gamma)
+            assert residual <= 1e-12 * rep.sigma[0] * n
 
     def test_threshold_formula(self):
         a = config_matrix(np.random.default_rng(32), 5)
