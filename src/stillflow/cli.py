@@ -7,7 +7,8 @@ decimal places. Identical inputs and seeds always produce identical bytes.
 
 Exit codes: 0 success, 2 invalid flags or unreadable input, 3 generation
 failure, 4 no equilibrium exists, 5 verification tolerance exceeded,
-6 collision or collapse during integration.
+6 collision or collapse during integration, 7 numerical failure (the
+LAPACK SVD did not converge).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .equilibrium import (
 from .errors import (
     CollapseReached,
     CollisionAbort,
+    ConvergenceFailure,
     DegenerateConfiguration,
     NoEquilibrium,
     StillflowError,
@@ -53,6 +55,7 @@ EXIT_GENERATION = 3
 EXIT_NO_EQUILIBRIUM = 4
 EXIT_TOLERANCE = 5
 EXIT_COLLISION = 6
+EXIT_NUMERICAL = 7
 
 
 def _fail(code: int, message: str) -> int:
@@ -374,6 +377,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ConvergenceFailure as exc:
+        return _fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
     except (StillflowError, ValueError) as exc:
         return _fail(EXIT_USAGE, str(exc))
 

@@ -15,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ComplexArray,
-    DELTA_MIN_DEFAULT,
-    FloatArray,
-    PointSet,
-    as_positions,
-    as_strength_values,
-    pairwise_distances,
-)
+from .core import ComplexArray, FloatArray
 from .errors import CollapseReached, CollisionAbort
+from .field import _inputs
 
 
 @dataclass(frozen=True)
@@ -126,21 +119,29 @@ def point_velocities(points, strengths) -> ComplexArray:
     Componentwise this is conj((A Gamma)_a / (2 pi i)), so it vanishes
     exactly on equilibria. A single point never moves itself.
     """
-    z = as_positions(points)
-    gamma = as_strength_values(strengths)
-    if z.size != gamma.size:
-        raise ValueError(f"{z.size} points but {gamma.size} strengths")
+    z, gamma, _ = _inputs(points, strengths)
     if z.size == 1:
         return np.zeros(1, dtype=np.complex128)
+    return _velocities(_differences(z), gamma)
+
+
+def _differences(z: ComplexArray) -> ComplexArray:
+    """z_a - z_b with a unit diagonal, so that dividing by it stays finite."""
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
-    terms = gamma[None, :] / diff
+    return diff
+
+
+def _velocities(diff: ComplexArray, gamma: ComplexArray) -> ComplexArray:
+    """point_velocities on validated input, given _differences of the points."""
+    terms = gamma / diff
     np.fill_diagonal(terms, 0.0)
     return np.conj(terms.sum(axis=1) / (2.0j * math.pi))
 
 
-def _closest_pair(z: ComplexArray) -> tuple[float, tuple[int, int]]:
-    gap = pairwise_distances(z)
+def _closest_pair(diff: ComplexArray) -> tuple[float, tuple[int, int]]:
+    gap = np.abs(diff)
+    np.fill_diagonal(gap, np.inf)
     a, b = divmod(int(np.argmin(gap)), gap.shape[0])
     return float(gap[a, b]), (min(a, b), max(a, b))
 
@@ -162,23 +163,23 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     """
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError("need t_final > 0 and dt > 0")
-    z = as_positions(points).copy()
-    gamma = as_strength_values(strengths)
-    if z.size != gamma.size:
-        raise ValueError(f"{z.size} points but {gamma.size} strengths")
-    delta_min = points.delta_min if isinstance(points, PointSet) else DELTA_MIN_DEFAULT
+    z, gamma, delta_min = _inputs(points, strengths)
 
     times = [0.0]
-    history = [z.copy()]
+    history = [z]
     events: list[CollisionEvent] = []
     warned: set[tuple[int, int]] = set()
     lone = z.size == 1
+    still = np.zeros(1, dtype=np.complex128)
 
     t = 0.0
     while t < t_final - 1e-12 * max(t_final, 1.0):
         h = min(dt, t_final - t)
-        if not lone:
-            sep, pair = _closest_pair(z)
+        if lone:
+            k1 = k2 = k3 = k4 = still
+        else:
+            diff = _differences(z)
+            sep, pair = _closest_pair(diff)
             if sep < delta_min:
                 raise CollisionAbort(
                     f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
@@ -188,15 +189,13 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
             if sep < 10.0 * delta_min and pair not in warned:
                 warned.add(pair)
                 events.append(CollisionEvent(t, pair, sep))
-        k1 = point_velocities(z, gamma)
-        k2 = point_velocities(z + 0.5 * h * k1, gamma)
-        k3 = point_velocities(z + 0.5 * h * k2, gamma)
-        k4 = point_velocities(z + h * k3, gamma)
-        if not lone:
-            reach = h * max(
-                float(np.abs(k).max()) for k in (k1, k2, k3, k4)
-            )
-            if reach > 0.25 * sep:
+            k1 = _velocities(diff, gamma)
+            k2 = _velocities(_differences(z + 0.5 * h * k1), gamma)
+            k3 = _velocities(_differences(z + 0.5 * h * k2), gamma)
+            k4 = _velocities(_differences(z + h * k3), gamma)
+            # A non-finite stage makes reach NaN, which aborts like a blow-up.
+            reach = h * float(np.abs((k1, k2, k3, k4)).max())
+            if not reach <= 0.25 * sep:
                 raise CollisionAbort(
                     f"step displacement {reach:.3e} exceeds a quarter of the closest"
                     f" separation {sep:.3e} at t = {t:.6g}; collision unresolvable at dt = {dt}",
@@ -205,7 +204,7 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         times.append(t)
-        history.append(z.copy())
+        history.append(z)
 
     times_arr = np.asarray(times)
     pos = np.asarray(history)

@@ -14,6 +14,7 @@ from stillflow.cli import (
     EXIT_COLLISION,
     EXIT_GENERATION,
     EXIT_NO_EQUILIBRIUM,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
@@ -305,6 +306,20 @@ class TestOutOfRangeArguments:
         capsys.readouterr()
         assert main(args) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    def test_svd_failure_exits_7(self, tmp_path, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        cfg = tmp_path / "c.json"
+        main(["generate", "--circle", "--n", "7", "--out", str(cfg)])
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        capsys.readouterr()
+        assert main([command, "--in", str(cfg)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("error: numerical failure: ")
 
 
 class TestModuleEntryPoint:

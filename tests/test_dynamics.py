@@ -1,5 +1,7 @@
 """Tracer orbits, point motion, fixedness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,62 @@ from stillflow import (
     solve_strengths,
 )
 
+from stillflow.core import pairwise_distances
+from stillflow.dynamics import CollisionEvent
+
 from test_core import random_points
+
+
+def reference_integrate(z, gamma, t_final, dt, delta_min=1e-9):
+    """The RK4 stepper with a closest-pair pass and a fully validated
+    point_velocities call per stage: the oracle for integrate."""
+    z = np.array(z, dtype=complex)
+    gamma = np.array(gamma, dtype=complex)
+
+    def velocities(zs):
+        if zs.size == 1:
+            return np.zeros(1, dtype=np.complex128)
+        diff = zs[:, None] - zs[None, :]
+        np.fill_diagonal(diff, 1.0)
+        terms = gamma[None, :] / diff
+        np.fill_diagonal(terms, 0.0)
+        return np.conj(terms.sum(axis=1) / (2.0j * math.pi))
+
+    times, history, events, warned = [0.0], [z.copy()], [], set()
+    t = 0.0
+    while t < t_final - 1e-12 * max(t_final, 1.0):
+        h = min(dt, t_final - t)
+        if z.size > 1:
+            gap = pairwise_distances(z)
+            a, b = divmod(int(np.argmin(gap)), gap.shape[0])
+            sep, pair = float(gap[a, b]), (min(a, b), max(a, b))
+            if sep < delta_min:
+                raise CollisionAbort("contact", time=t, pair=pair, distance=sep)
+            if sep < 10.0 * delta_min and pair not in warned:
+                warned.add(pair)
+                events.append(CollisionEvent(t, pair, sep))
+        k1 = velocities(z)
+        k2 = velocities(z + 0.5 * h * k1)
+        k3 = velocities(z + 0.5 * h * k2)
+        k4 = velocities(z + h * k3)
+        if z.size > 1:
+            reach = h * max(float(np.abs(k).max()) for k in (k1, k2, k3, k4))
+            if reach > 0.25 * sep:
+                raise CollisionAbort("reach", time=t, pair=pair, distance=sep)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        times.append(t)
+        history.append(z.copy())
+    return np.asarray(times), np.asarray(history), tuple(events)
+
+
+def outcome(run):
+    """Bytes of a finished run, or the abort it raised."""
+    try:
+        times, positions, events = run()
+    except CollisionAbort as exc:
+        return ("abort", exc.time, exc.pair, exc.distance)
+    return ("done", times.tobytes(), positions.tobytes(), events)
 
 
 class TestSingleOrbit:
@@ -177,6 +234,39 @@ class TestIntegrate:
     def test_single_point_stays_put(self):
         traj = integrate([1 + 2j], [3 + 0j], 0.05, dt=1e-3)
         assert np.abs(traj.positions - (1 + 2j)).max() == 0.0
+
+
+def oracle_cases():
+    rng = np.random.default_rng(85)
+    for n in (2, 3, 5, 8, 13):
+        z = random_points(rng, n)
+        for scale in (0.1, 1.0, 30.0):
+            g = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            yield z, g, 0.2, 7e-3
+    xs = np.linspace(0, 1, 7) + 0j
+    yield xs, solve_strengths(PointSet(xs)).strengths.values, 0.3, 1e-3
+    yield [0j, 1 + 0j], [-2j * np.pi, -2j * np.pi], 1.0, 1e-3  # sink pair
+    yield [0j, 5e-9 + 0j], [1e-15 + 0j, 1e-15 + 0j], 0.01, 1e-3  # close pass
+    yield [0j, 5e-10 + 0j, 1 + 0j], [1 + 0j] * 3, 0.01, 1e-3  # contact
+    yield [-0.0 - 0.0j], [3 + 0j], 0.05, 1e-3  # lone point
+
+
+class TestIntegrateOracle:
+    @pytest.mark.parametrize("z, g, t_final, dt", list(oracle_cases()))
+    def test_bit_identical_to_reference_stepper(self, z, g, t_final, dt):
+        def run():
+            traj = integrate(z, g, t_final, dt=dt)
+            return traj.times, traj.positions, traj.events
+
+        expected = outcome(lambda: reference_integrate(z, g, t_final, dt))
+        assert outcome(run) == expected
+
+    def test_non_finite_stage_aborts(self):
+        # 1e305 / 1e-8 overflows: the first stage is infinite, later ones NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CollisionAbort) as exc:
+                integrate([0j, 1e-8 + 0j], [1e305 + 0j, 1e305 + 0j], 0.01)
+        assert exc.value.pair == (0, 1) and exc.value.time == 0.0
 
 
 class TestFixedness:

@@ -1,7 +1,12 @@
 """Velocity sampling, streamlines, far-field comparison."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stillflow import (
     PointSet,
@@ -20,6 +25,52 @@ from stillflow import (
 from test_core import random_points
 
 TWO_PI = 2 * np.pi
+FLOOR = 1e-9
+
+
+def unchunked_grid(points, strengths, window, nx, ny):
+    """velocity_grid as one (ny, nx, N) array expression: the oracle."""
+    positions = np.asarray(points, dtype=complex)
+    gamma = np.asarray(strengths, dtype=complex)
+    xs = np.linspace(window.x_min, window.x_max, nx)
+    ys = np.linspace(window.y_min, window.y_max, ny)
+    nodes = xs[None, :] + 1j * ys[:, None]
+    dist = np.abs(nodes[..., None] - positions)
+    singular = (dist < FLOOR).any(axis=-1)
+    safe = np.where(singular, nodes + 2.0 * FLOOR * (1.0 + 1j), nodes)
+    diff = safe[..., None] - positions
+    vel = np.conj((gamma / diff).sum(axis=-1) / (2.0j * math.pi))
+    vel[singular] = 0.0
+    return xs, ys, vel, singular
+
+
+GRID_WINDOW = Window(-1.0, 1.0, -1.0, 1.0)
+
+
+def lattice_node(nx, ny, i, j):
+    """Node (i, j) of an nx-by-ny lattice over GRID_WINDOW, as velocity_grid
+    places it."""
+    w = GRID_WINDOW
+    return complex(np.linspace(w.x_min, w.x_max, nx)[i], np.linspace(w.y_min, w.y_max, ny)[j])
+
+
+@st.composite
+def lattices(draw):
+    """(points, strengths, nx, ny) with up to 400k node-point terms; some
+    points sit on a node, or within or just outside the floor of one."""
+    n = draw(st.integers(1, 80))
+    nx = draw(st.integers(2, 1200))
+    ny = draw(st.integers(2, max(2, min(40, 400_000 // (n * nx)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pins = draw(st.lists(st.tuples(st.integers(0, nx * ny - 1),
+                                   st.sampled_from([0.0, 4e-10, 2e-9])),
+                         max_size=min(n, 3)))
+    for a, (node, offset) in enumerate(pins):
+        j, i = divmod(node, nx)
+        z[a] = lattice_node(nx, ny, i, j) + offset
+    return z, g, nx, ny
 
 
 class TestVelocityAt:
@@ -92,6 +143,36 @@ class TestVelocityGrid:
                              Window(-1.0, 1.0, -1.0, 1.0), nx=3, ny=3)
         with pytest.raises(ValueError):
             grid.velocity[0, 0] = 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattices())
+    # several blocks: 2**16 // 51 = 1285 nodes per block
+    @example((np.exp(2j * np.pi * np.arange(51) / 51), np.ones(51, complex), 60, 60))
+    # one row wider than a block (819 nodes), points on nodes of the third block
+    @example((np.array([lattice_node(1000, 2, 700, 1), lattice_node(1000, 2, 900, 1) + 4e-10]
+                       + [0.01 * k + 0.5j for k in range(78)]),
+              np.arange(80) + 1j, 1000, 2))
+    def test_bit_identical_to_unchunked_sum(self, case):
+        z, g, nx, ny = case
+        grid = velocity_grid(z, g, GRID_WINDOW, nx, ny)
+        xs, ys, vel, singular = unchunked_grid(z, g, GRID_WINDOW, nx, ny)
+        assert grid.xs.tobytes() == xs.tobytes() and grid.ys.tobytes() == ys.tobytes()
+        assert np.array_equal(grid.singular, singular)
+        assert grid.velocity.tobytes() == vel.tobytes()
+
+    def test_work_memory_is_bounded(self):
+        # The unchunked sum held 401 * 401 * 51 complex terms, 131 MB each.
+        rng = np.random.default_rng(94)
+        z = random_points(rng, 51)
+        g = rng.standard_normal(51) + 1j * rng.standard_normal(51)
+        tracemalloc.start()
+        try:
+            grid = velocity_grid(z, g, Window(-2.0, 2.0, -2.0, 2.0), nx=401, ny=401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in (grid.xs, grid.ys, grid.velocity, grid.singular))
+        assert peak <= outputs + 3_000_000
 
     def test_rejects_degenerate_lattice(self):
         with pytest.raises(ValueError):
