@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -229,13 +230,14 @@ def _cmd_verify(args) -> int:
 
 
 def _grid_csv(grid) -> str:
-    lines = ["x,y,u,v,singular"]
-    for j, y in enumerate(grid.ys):
-        for i, x in enumerate(grid.xs):
-            v = grid.velocity[j, i]
-            flag = int(bool(grid.singular[j, i]))
-            lines.append(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g},{flag}")
-    return "\n".join(lines) + "\n"
+    # one lattice row at a time, so that only a row's worth of Python
+    # floats is alive at once
+    xs = grid.xs.tolist()
+    lines = ["x,y,u,v,singular\n"]
+    for y, v, flags in zip(grid.ys.tolist(), grid.velocity, grid.singular):
+        lines.extend("%.17g,%.17g,%.17g,%.17g,%d\n" % row
+                     for row in zip(xs, repeat(y), v.real.tolist(), v.imag.tolist(), flags.tolist()))
+    return "".join(lines)
 
 
 def _cmd_field(args) -> int:

@@ -182,50 +182,3 @@ def build_matrix(points: PointSet) -> ConfigurationMatrix:
     a[iu, ju] = vals
     a[ju, iu] = -vals
     return ConfigurationMatrix(a)
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianSplit:
-    """Decomposition A = B + C into Hermitian B and skew-Hermitian C."""
-
-    hermitian: ComplexArray
-    antihermitian: ComplexArray
-
-    def __post_init__(self):
-        for name in ("hermitian", "antihermitian"):
-            arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def hermitian_split(a: ConfigurationMatrix | ComplexArray) -> HermitianSplit:
-    """Split a matrix into its Hermitian and skew-Hermitian parts.
-
-    B = (A + A')/2 and C = (A - A')/2 where ' is the conjugate transpose.
-    A real skew-symmetric matrix gives B = 0; the matrix is normal exactly
-    when B and C commute.
-    """
-    m = a.entries if isinstance(a, ConfigurationMatrix) else np.asarray(a, dtype=np.complex128)
-    ah = m.conj().T
-    return HermitianSplit((m + ah) / 2.0, (m - ah) / 2.0)
-
-
-def normality_defect(a: ConfigurationMatrix | ComplexArray) -> float:
-    """Frobenius norm of AA' - A'A; zero exactly for normal matrices.
-
-    Cross-checked internally against the identity AA' - A'A = 2(CB - BC)
-    where B, C are the Hermitian split parts.
-    """
-    m = a.entries if isinstance(a, ConfigurationMatrix) else np.asarray(a, dtype=np.complex128)
-    ah = m.conj().T
-    direct = m @ ah - ah @ m
-    defect = float(np.linalg.norm(direct, "fro"))
-    split = hermitian_split(m)
-    comm = split.antihermitian @ split.hermitian - split.hermitian @ split.antihermitian
-    alt = 2.0 * float(np.linalg.norm(comm, "fro"))
-    scale = max(defect, alt, 1e-300)
-    if abs(defect - alt) > 1e-10 * scale + 1e-13 * float(np.linalg.norm(m, "fro")) ** 2:
-        raise AssertionError(
-            f"normality defect cross-check failed: direct {defect:.6e} vs split {alt:.6e}"
-        )
-    return defect

@@ -17,7 +17,7 @@ class DegenerateConfiguration(StillflowError, ValueError):
 
 
 class ConvergenceFailure(StillflowError, RuntimeError):
-    """An iterative scheme exhausted its iteration cap."""
+    """LAPACK's singular value decomposition did not converge (the CLI exits 7)."""
 
 
 class OddDimension(StillflowError, ValueError):

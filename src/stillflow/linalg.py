@@ -6,13 +6,16 @@ equilibria reads its singular values against a threshold far above their
 rounding error. Eigenvalues go through closed forms for exactly skew 2x2
 and 3x3 input and through the standard dense solver (Hessenberg reduction
 plus QR iteration, via numpy) otherwise, so the two spectral routes stay
-independent of each other. The Pfaffian is likewise computed on two
-independent paths: combinatorial recursion for small matrices and
-Householder congruence tridiagonalization for larger even dimensions.
+independent of each other. The Pfaffian has one route at every size,
+Householder congruence tridiagonalization, which also gives its phase and
+log-modulus; Pf(A)^2 = det(A) is checked against LU in log space, so the
+check holds where either side overflows a double.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,20 +152,6 @@ def eigenvalues(a) -> EigenResult:
     return EigenResult(_readonly(lam[order]))
 
 
-def eigen_residuals(a, lambdas) -> FloatArray:
-    """Relative residual min_q |Aq - lambda q| / |q| for each lambda.
-
-    The minimizing q is the smallest right singular vector of A - lambda I,
-    so the residual is its smallest singular value. Used to validate both
-    eigenvalue routes against each other.
-    """
-    m = _as_square(a)
-    lams = np.atleast_1d(np.asarray(lambdas, dtype=np.complex128))
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    out = np.array([np.linalg.svd(m - lam * eye, compute_uv=False)[-1] for lam in lams])
-    return _readonly(out)
-
-
 def zero_eigenvalue_multiplicity(a, rel_tol: float = 1e-8) -> int:
     """Count eigenvalues of magnitude at most rel_tol * ||A||_F * n.
 
@@ -176,10 +165,23 @@ def zero_eigenvalue_multiplicity(a, rel_tol: float = 1e-8) -> int:
     return int(np.count_nonzero(np.abs(lam) <= rel_tol * scale * m.shape[0]))
 
 
+#: Largest x whose exponential is a finite double.
+_LOG_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _from_polar(phase, log_abs) -> complex:
+    """phase * e^log_abs; past the float range, an infinity along phase."""
+    if log_abs < _LOG_MAX:
+        return complex(phase) * math.exp(log_abs)
+    return cmath.rect(math.inf, cmath.phase(phase))
+
+
 def determinant(a) -> complex:
-    """LU-based determinant (exactly zero is not representable; odd
-    skew-symmetric input comes out at rounding level instead)."""
-    return complex(np.linalg.det(_as_square(a)))
+    """LU-based determinant, formed from numpy's slogdet so that it never
+    overflows: past the float range it is an infinity along its phase.
+    Exactly zero is not representable; odd skew-symmetric input comes out
+    at rounding level instead."""
+    return _from_polar(*np.linalg.slogdet(_as_square(a)))
 
 
 def _check_skew(m: ComplexArray) -> None:
@@ -191,28 +193,14 @@ def _check_skew(m: ComplexArray) -> None:
         raise ValueError(f"matrix is not skew-symmetric (max |A + A^T| = {worst:.3e})")
 
 
-def _pfaffian_recursive(m: ComplexArray) -> complex:
-    """Expansion along the first row; exact combinatorial structure,
-    cost doubles per dimension so this is for small matrices only."""
-    n = m.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n == 2:
-        return complex(m[0, 1])
-    total = 0.0 + 0.0j
-    for j in range(1, n):
-        if m[0, j] == 0.0:
-            continue
-        keep = [k for k in range(1, n) if k != j]
-        sign = -1.0 if j % 2 == 0 else 1.0
-        total += sign * m[0, j] * _pfaffian_recursive(m[np.ix_(keep, keep)])
-    return total
-
-
-def _pfaffian_householder(m: ComplexArray) -> complex:
+def _pfaffian_factors(m: ComplexArray) -> tuple[float, ComplexArray]:
     """Congruence tridiagonalization T = Q A Q^T by unitary Householder
-    reflectors; Pf(A) = det(Q) * product of T's odd superdiagonal entries."""
+    reflectors. Returns det(Q) and T's entries t[k, k+1] for even k;
+    Pf(A) is det(Q) times their product."""
     n = m.shape[0]
+    if n % 2:
+        raise OddDimension(f"Pfaffian requires even dimension, got {n}")
+    _check_skew(m)
     t = m.astype(np.complex128, copy=True)
     det_q = 1.0
     for k in range(n - 2):
@@ -231,17 +219,37 @@ def _pfaffian_householder(m: ComplexArray) -> complex:
         sub = t[:, k + 1:]
         sub -= 2.0 * np.outer(sub @ v.conj(), v)
         det_q = -det_q
+    return det_q, t.diagonal(1)[::2].copy()
+
+
+def _pfaffian_polar(det_q: float, factors: ComplexArray) -> tuple[complex, float]:
+    """Pf(A) as its phase and log |Pf(A)|; 0 and -inf when it vanishes."""
+    mags = np.abs(factors)
+    if not mags.all():
+        return 0j, -math.inf
+    return complex(det_q * np.prod(factors / mags)), float(np.log(mags).sum())
+
+
+def _pfaffian_value(det_q: float, factors: ComplexArray) -> complex:
     pf = np.complex128(det_q)
-    for k in range(0, n - 1, 2):
-        pf *= t[k, k + 1]
-    return complex(pf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in factors:
+            pf *= f
+    if np.isfinite(pf):
+        return complex(pf)
+    # the product overflowed, on the way or at the end: rebuild it from the
+    # logarithms, which stay finite
+    return _from_polar(*_pfaffian_polar(det_q, factors))
 
 
 def pfaffian(a) -> complex:
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
-    Satisfies Pf(A)^2 = det(A), which the caller can verify against the
-    independent LU determinant via pfaffian_determinant_check.
+    Computed by Householder congruence tridiagonalization at every size
+    (a 2x2 matrix needs no reflector and gives a[0, 1]). Past the float
+    range the result is an infinity along its phase;
+    pfaffian_determinant_check compares Pf(A)^2 with det(A) in log space,
+    where nothing overflows.
 
     Raises
     ------
@@ -250,26 +258,44 @@ def pfaffian(a) -> complex:
     ValueError
         If the matrix is not skew-symmetric.
     """
-    m = _as_square(a)
-    n = m.shape[0]
-    if n % 2:
-        raise OddDimension(f"Pfaffian requires even dimension, got {n}")
-    _check_skew(m)
-    if n <= 8:
-        return _pfaffian_recursive(m)
-    return _pfaffian_householder(m)
+    return _pfaffian_value(*_pfaffian_factors(_as_square(a)))
 
 
 @dataclass(frozen=True)
 class PfaffianCheck:
+    """Pf(A), det(A) and whether Pf(A)^2 = det(A).
+
+    pfaffian and determinant are infinite along their phase when their
+    modulus exceeds the float range; log_abs_pfaffian and
+    log_abs_determinant (natural logarithms, -inf for zero) always hold.
+    """
+
     pfaffian: complex
     determinant: complex
     consistent: bool
+    log_abs_pfaffian: float
+    log_abs_determinant: float
 
 
 def pfaffian_determinant_check(a, rel_tol: float = 1e-8) -> PfaffianCheck:
-    """Verify Pf(A)^2 = det(A) on two independent computational routes."""
-    pf = pfaffian(a)
-    det = determinant(a)
-    scale = max(abs(det), abs(pf) ** 2, 1e-300)
-    return PfaffianCheck(pf, det, abs(pf * pf - det) <= rel_tol * scale)
+    """Verify Pf(A)^2 = det(A) on two independent computational routes.
+
+    The Pfaffian comes from the Householder reduction, the determinant from
+    LU (numpy's slogdet). consistent means |Pf^2 - det| <= rel_tol *
+    max(|Pf|^2, |det|), decided from the phases and the logarithms of the
+    moduli, so it holds where Pf^2 or det overflow a double.
+    """
+    m = _as_square(a)
+    det_q, factors = _pfaffian_factors(m)
+    pf_phase, pf_log = _pfaffian_polar(det_q, factors)
+    det_phase, det_log = np.linalg.slogdet(m)
+    if pf_phase == 0 or det_phase == 0:
+        consistent = pf_phase == det_phase
+    else:
+        # the relative gap is |1 - e^-|d| w| with d the log-modulus gap and
+        # w = phase(Pf)^2 / phase(det), whichever side is larger
+        gap = 2.0 * pf_log - float(det_log)
+        w = pf_phase**2 * complex(det_phase).conjugate()
+        consistent = abs(1.0 - math.exp(-abs(gap)) * w) <= rel_tol
+    return PfaffianCheck(_pfaffian_value(det_q, factors), _from_polar(det_phase, det_log),
+                         bool(consistent), pf_log, float(det_log))

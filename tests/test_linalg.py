@@ -1,5 +1,8 @@
 """Singular decomposition, nullspace, eigenvalues, Pfaffian."""
 
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from stillflow import (
     OddDimension,
     build_matrix,
     determinant,
-    eigen_residuals,
     eigenvalues,
     nullspace,
     pfaffian,
@@ -22,6 +24,32 @@ from test_core import random_points
 
 def config_matrix(rng, n):
     return build_matrix(random_points(rng, n)).entries
+
+
+def eigen_residuals(a, lambdas):
+    """min_q |Aq - lambda q| / |q| for each lambda: the smallest singular
+    value of A - lambda I."""
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    return np.array([np.linalg.svd(a - lam * eye, compute_uv=False)[-1] for lam in lambdas])
+
+
+def pfaffian_by_expansion(m):
+    """Reference Pfaffian by expansion along the first row; its exact
+    combinatorial structure makes it an oracle, its cost (doubling per
+    dimension) limits it to small matrices."""
+    n = m.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    if n == 2:
+        return complex(m[0, 1])
+    total = 0.0 + 0.0j
+    for j in range(1, n):
+        if m[0, j] == 0.0:
+            continue
+        keep = [k for k in range(1, n) if k != j]
+        sign = -1.0 if j % 2 == 0 else 1.0
+        total += sign * m[0, j] * pfaffian_by_expansion(m[np.ix_(keep, keep)])
+    return total
 
 
 #: Pair separations for strongly graded matrices: entries near 1/gap next
@@ -271,14 +299,54 @@ class TestPfaffianAndDeterminant:
             assert check.pfaffian ** 2 == pytest.approx(check.determinant, rel=1e-8)
 
     def test_expansion_and_reduction_routes_agree(self):
-        # n <= 8 uses cofactor expansion, larger sizes the congruence
-        # reduction; force both on the same matrix via a padded embedding
+        # the Householder reduction against the cofactor-expansion oracle
         rng = np.random.default_rng(53)
+        for n in (2, 4, 6, 8):
+            for _ in range(5):
+                a = config_matrix(rng, n)
+                assert pfaffian(a) == pytest.approx(pfaffian_by_expansion(a), rel=1e-10)
+        # a padded embedding: Pf(A (+) J) = Pf(A) for J = [[0, 1], [-1, 0]]
         a = config_matrix(rng, 8)
         big = np.zeros((10, 10), dtype=complex)
         big[:8, :8] = a
         big[8, 9], big[9, 8] = 1, -1
-        assert pfaffian(big) == pytest.approx(pfaffian(a), rel=1e-10)
+        assert pfaffian(big) == pytest.approx(pfaffian_by_expansion(a), rel=1e-10)
+
+    def test_square_identity_past_float_range(self):
+        # the unit circle scaled by 1e-3 at N = 400: |det A| is about
+        # e^4483, far past the largest double (about e^709.8)
+        z = 1e-3 * np.exp(2j * np.pi * np.arange(400) / 400)
+        a = build_matrix(z).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check = pfaffian_determinant_check(a)
+            pf, det = pfaffian(a), determinant(a)
+        assert check.consistent is True
+        log_det = float(np.log(svd(a).sigma).sum())
+        assert check.log_abs_determinant == pytest.approx(log_det, rel=1e-12)
+        assert 2 * check.log_abs_pfaffian == pytest.approx(log_det, rel=1e-12)
+        assert cmath.isinf(check.pfaffian) and cmath.isinf(check.determinant)
+        assert (pf, det) == (check.pfaffian, check.determinant)
+
+    def test_check_decides_in_log_space(self, monkeypatch):
+        # |Pf^2 - det| <= rel_tol * max(|Pf|^2, |det|) read from phases and
+        # log-moduli: shift det's logarithm or phase and watch the verdict
+        a = config_matrix(np.random.default_rng(55), 6)
+        sign, log_abs = np.linalg.slogdet(a)
+        for shift, phase, expected in ((0.0, 1.0, True), (1e-10, 1.0, True),
+                                       (-1e-10, 1.0, True), (1e-6, 1.0, False),
+                                       (-1e-6, 1.0, False), (0.0, -1.0, False),
+                                       (0.0, np.exp(1e-6j), False)):
+            monkeypatch.setattr(np.linalg, "slogdet",
+                                lambda m: (sign * phase, log_abs + shift))
+            assert pfaffian_determinant_check(a).consistent is expected
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m: (0.0, -np.inf))
+        assert pfaffian_determinant_check(a).consistent is False
+        monkeypatch.undo()
+        zero = pfaffian_determinant_check(np.zeros((4, 4), dtype=complex))
+        assert zero.consistent is True
+        assert zero.pfaffian == 0 and zero.determinant == 0
+        assert zero.log_abs_pfaffian == zero.log_abs_determinant == -np.inf
 
     def test_row_swap_changes_sign(self):
         rng = np.random.default_rng(54)
