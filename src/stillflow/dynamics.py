@@ -71,8 +71,8 @@ def single_orbit(p: OrbitParams, t: float) -> tuple[float, float]:
     CollapseReached
         For a sink at or past its collapse time pi r0^2 / (-Gamma_i).
     """
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     gr, gi = p.gamma.real, p.gamma.imag
     if gi < 0.0 and t >= collapse_time(p):
         raise CollapseReached(
@@ -88,29 +88,45 @@ def single_orbit(p: OrbitParams, t: float) -> tuple[float, float]:
 
 
 def integrate_tracer(p: OrbitParams, t_final: float, dt: float = 1e-4) -> tuple[float, float]:
-    """RK4 on the polar tracer ODEs; the numerical side of the orbit oracle."""
-    if t_final < 0.0 or dt <= 0.0:
-        raise ValueError("need t_final >= 0 and dt > 0")
+    """RK4 on the polar tracer ODEs; the numerical side of the orbit oracle.
 
-    def rhs(state):
-        r, _ = state
+    dr/dt = Gamma_i / (2 pi r) and dtheta/dt = Gamma_r / (2 pi r^2) depend
+    on r alone, so only r is carried through the stages. The state is two
+    Python floats: each step makes the same IEEE operations, in the same
+    order, as RK4 on a 2-vector, without an array per stage.
+
+    Raises
+    ------
+    ValueError
+        Unless t_final is finite and non-negative and dt finite and positive.
+    CollapseReached
+        When a stage reaches r <= 0, as a sink does at its collapse time.
+    """
+    if not (0.0 <= t_final < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(f"need finite t_final >= 0 and dt > 0, got t_final={t_final}, dt={dt}")
+    gr, gi = p.gamma.real, p.gamma.imag
+    two_pi = 2.0 * math.pi
+
+    def rates(r):
         if r <= 0.0:
             raise CollapseReached("tracer radius reached zero during integration")
-        return np.array(
-            [p.gamma.imag / (2.0 * math.pi * r), p.gamma.real / (2.0 * math.pi * r * r)]
-        )
+        s = two_pi * r
+        d = s * r
+        # r * r underflows to 0 below r ~ 1e-162, where IEEE gives gr / +0 = gr * inf
+        return gi / s, (gr / d if d else gr * math.inf)
 
-    state = np.array([p.r0, p.theta0])
+    r, theta = float(p.r0), float(p.theta0)
     t = 0.0
     while t < t_final - 1e-12 * max(t_final, 1.0):
         h = min(dt, t_final - t)
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        dr1, dth1 = rates(r)
+        dr2, dth2 = rates(r + 0.5 * h * dr1)
+        dr3, dth3 = rates(r + 0.5 * h * dr2)
+        dr4, dth4 = rates(r + h * dr3)
+        r = r + (h / 6.0) * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+        theta = theta + (h / 6.0) * (dth1 + 2.0 * dth2 + 2.0 * dth3 + dth4)
         t += h
-    return float(state[0]), float(state[1])
+    return r, theta
 
 
 def point_velocities(points, strengths) -> ComplexArray:
@@ -120,30 +136,35 @@ def point_velocities(points, strengths) -> ComplexArray:
     exactly on equilibria. A single point never moves itself.
     """
     z, gamma, _ = _inputs(points, strengths)
-    if z.size == 1:
-        return np.zeros(1, dtype=np.complex128)
-    return _velocities(_differences(z), gamma)
+    velocity = np.zeros(z.size, dtype=np.complex128)
+    if z.size > 1:
+        diff, diag = _pair_buffer(z.size)
+        _velocities(_differences(z, diff, diag), diag, gamma, velocity)
+    return velocity
 
 
-def _differences(z: ComplexArray) -> ComplexArray:
-    """z_a - z_b with a unit diagonal, so that dividing by it stays finite."""
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
+def _pair_buffer(n: int) -> tuple[ComplexArray, ComplexArray]:
+    """An n x n work matrix and a view of its diagonal."""
+    diff = np.empty((n, n), dtype=np.complex128)
+    return diff, diff.reshape(-1)[:: n + 1]
+
+
+def _differences(z: ComplexArray, diff: ComplexArray, diag: ComplexArray) -> ComplexArray:
+    """z_a - z_b into diff, with a unit diagonal so that dividing by it stays finite."""
+    np.subtract(z[:, None], z[None, :], out=diff)
+    diag.fill(1.0)
     return diff
 
 
-def _velocities(diff: ComplexArray, gamma: ComplexArray) -> ComplexArray:
-    """point_velocities on validated input, given _differences of the points."""
-    terms = gamma / diff
-    np.fill_diagonal(terms, 0.0)
-    return np.conj(terms.sum(axis=1) / (2.0j * math.pi))
-
-
-def _closest_pair(diff: ComplexArray) -> tuple[float, tuple[int, int]]:
-    gap = np.abs(diff)
-    np.fill_diagonal(gap, np.inf)
-    a, b = divmod(int(np.argmin(gap)), gap.shape[0])
-    return float(gap[a, b]), (min(a, b), max(a, b))
+def _velocities(diff: ComplexArray, diag: ComplexArray, gamma: ComplexArray,
+                out: ComplexArray) -> ComplexArray:
+    """point_velocities on validated input into out, given _differences of
+    the points; diff is overwritten with the terms Gamma_b / (z_a - z_b)."""
+    np.divide(gamma, diff, out=diff)
+    diag.fill(0.0)
+    np.add.reduce(diff, axis=1, out=out)
+    np.divide(out, 2.0j * math.pi, out=out)
+    return np.conjugate(out, out=out)
 
 
 def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> TrajectorySet:
@@ -156,30 +177,49 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     distance can change faster than the collision check samples it, which
     is exactly the blow-up regime near a collapsing pair.
 
+    The work arrays (one n x n difference matrix and its moduli, the four
+    stages and their moduli, one stage input) are allocated once per call
+    and filled in place, so a step allocates only the new positions. Every
+    step makes the same floating-point operations in the same order as
+    forming each stage afresh.
+
     Raises
     ------
+    ValueError
+        Unless t_final and dt are finite and positive.
     CollisionAbort
         Carrying (time, pair, distance) of the offending pair.
     """
-    if t_final <= 0.0 or dt <= 0.0:
-        raise ValueError("need t_final > 0 and dt > 0")
+    if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(f"need finite t_final > 0 and dt > 0, got t_final={t_final}, dt={dt}")
     z, gamma, delta_min = _inputs(points, strengths)
+    n = z.size
+
+    diff, diag = _pair_buffer(n)
+    gap = np.empty((n, n))
+    gap_flat = gap.reshape(-1)
+    gap_diag = gap_flat[:: n + 1]
+    stages = np.zeros((4, n), dtype=np.complex128)
+    k1, k2, k3, k4 = stages
+    speed = np.empty((4, n))
+    work = np.empty(n, dtype=np.complex128)
 
     times = [0.0]
     history = [z]
     events: list[CollisionEvent] = []
     warned: set[tuple[int, int]] = set()
-    lone = z.size == 1
-    still = np.zeros(1, dtype=np.complex128)
 
     t = 0.0
     while t < t_final - 1e-12 * max(t_final, 1.0):
         h = min(dt, t_final - t)
-        if lone:
-            k1 = k2 = k3 = k4 = still
-        else:
-            diff = _differences(z)
-            sep, pair = _closest_pair(diff)
+        # a lone point never moves: its stages stay zero
+        if n > 1:
+            np.abs(_differences(z, diff, diag), out=gap)
+            gap_diag.fill(np.inf)
+            nearest = int(gap_flat.argmin())
+            sep = float(gap_flat[nearest])
+            a, b = divmod(nearest, n)
+            pair = (min(a, b), max(a, b))
             if sep < delta_min:
                 raise CollisionAbort(
                     f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
@@ -189,19 +229,26 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
             if sep < 10.0 * delta_min and pair not in warned:
                 warned.add(pair)
                 events.append(CollisionEvent(t, pair, sep))
-            k1 = _velocities(diff, gamma)
-            k2 = _velocities(_differences(z + 0.5 * h * k1), gamma)
-            k3 = _velocities(_differences(z + 0.5 * h * k2), gamma)
-            k4 = _velocities(_differences(z + h * k3), gamma)
+            _velocities(diff, diag, gamma, k1)
+            np.add(z, np.multiply(0.5 * h, k1, out=work), out=work)
+            _velocities(_differences(work, diff, diag), diag, gamma, k2)
+            np.add(z, np.multiply(0.5 * h, k2, out=work), out=work)
+            _velocities(_differences(work, diff, diag), diag, gamma, k3)
+            np.add(z, np.multiply(h, k3, out=work), out=work)
+            _velocities(_differences(work, diff, diag), diag, gamma, k4)
             # A non-finite stage makes reach NaN, which aborts like a blow-up.
-            reach = h * float(np.abs((k1, k2, k3, k4)).max())
+            reach = h * float(np.abs(stages, out=speed).max())
             if not reach <= 0.25 * sep:
                 raise CollisionAbort(
                     f"step displacement {reach:.3e} exceeds a quarter of the closest"
                     f" separation {sep:.3e} at t = {t:.6g}; collision unresolvable at dt = {dt}",
                     time=t, pair=pair, distance=sep,
                 )
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # z + (h / 6) (k1 + 2 k2 + 2 k3 + k4), left to right; k3 is spent
+        np.add(k1, np.multiply(2.0, k2, out=work), out=work)
+        np.add(work, np.multiply(2.0, k3, out=k3), out=work)
+        np.add(work, k4, out=work)
+        z = z + np.multiply(h / 6.0, work, out=work)
         t += h
         times.append(t)
         history.append(z)

@@ -1,6 +1,7 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stillflow import FieldGrid, Window, cli, velocity_grid
+from stillflow import FieldGrid, Window, cli, single_orbit, velocity_grid
 from stillflow.cli import (
     EXIT_COLLISION,
     EXIT_GENERATION,
@@ -313,6 +314,17 @@ class TestOrbit:
         assert code == EXIT_TOLERANCE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("numeric", ids=["both", "theta", "r"], argvalues=[
+        lambda p, t: (math.nan, math.nan),
+        lambda p, t: (single_orbit(p, t)[0], math.nan),
+        lambda p, t: (math.nan, single_orbit(p, t)[1]),
+    ])
+    def test_nan_difference_exit_5(self, capsys, monkeypatch, numeric):
+        monkeypatch.setattr(cli, "integrate_tracer", lambda p, t, dt: numeric(p, t))
+        code = main(["orbit", "--gamma", "1", "1", "--r0", "1"])
+        assert code == EXIT_TOLERANCE
+        assert "max_difference nan" in capsys.readouterr().out
+
     def test_collapse_exit_6(self, capsys):
         code = main(["orbit", "--gamma", "0", "-6.283185307179586",
                      "--r0", "1", "--t-final", "1"])
@@ -327,6 +339,11 @@ class TestOutOfRangeArguments:
         ["solve", "--tol", "2"],
         ["verify", "--dt", "0"],
         ["orbit", "--gamma", "1", "1", "--r0", "-1"],
+        ["verify", "--t-final", "nan"],
+        ["verify", "--t-final", "inf"],
+        ["verify", "--dt", "nan"],
+        ["orbit", "--gamma", "1", "1", "--r0", "1", "--t-final", "nan"],
+        ["orbit", "--gamma", "1", "1", "--r0", "1", "--dt", "nan"],
     ])
     def test_value_error_exits_2(self, tmp_path, capsys, args):
         if args[0] != "orbit":

@@ -1,9 +1,12 @@
 """Tracer orbits, point motion, fixedness."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stillflow import (
     CollapseReached,
@@ -68,6 +71,40 @@ def reference_integrate(z, gamma, t_final, dt, delta_min=1e-9):
         times.append(t)
         history.append(z.copy())
     return np.asarray(times), np.asarray(history), tuple(events)
+
+
+def reference_tracer(p, t_final, dt=1e-4):
+    """RK4 on the polar tracer ODEs with the state as a 2-vector and one
+    array per stage: the oracle for integrate_tracer."""
+
+    def rhs(state):
+        r, _ = state
+        if r <= 0.0:
+            raise CollapseReached("tracer radius reached zero during integration")
+        return np.array(
+            [p.gamma.imag / (2.0 * math.pi * r), p.gamma.real / (2.0 * math.pi * r * r)]
+        )
+
+    state = np.array([p.r0, p.theta0])
+    t = 0.0
+    while t < t_final - 1e-12 * max(t_final, 1.0):
+        h = min(dt, t_final - t)
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return float(state[0]), float(state[1])
+
+
+def tracer_outcome(run):
+    """Bytes of a finished tracer run, or the collapse it raised."""
+    try:
+        r, theta = run()
+    except CollapseReached:
+        return "collapse"
+    return struct.pack("<dd", r, theta)
 
 
 def outcome(run):
@@ -150,6 +187,71 @@ class TestTracerIntegration:
         p = OrbitParams(-2j * np.pi, 1.0)
         r_num, _ = integrate_tracer(p, 0.4, dt=1e-5)
         assert r_num == pytest.approx(np.sqrt(0.2), abs=1e-5)
+
+
+@st.composite
+def tracer_cases(draw):
+    """Sources, sinks, vortices and spirals, with runs that may pass a
+    sink's collapse time."""
+    kind = draw(st.sampled_from(["source", "sink", "vortex", "spiral"]))
+    size = st.floats(0.05, 20.0)
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "source":
+        gamma = complex(0.0, draw(size))
+    elif kind == "sink":
+        gamma = complex(0.0, -draw(size))
+    elif kind == "vortex":
+        gamma = complex(sign * draw(size), 0.0)
+    else:
+        gamma = complex(sign * draw(size), draw(st.floats(-20.0, 20.0)))
+    params = OrbitParams(gamma, draw(st.floats(0.05, 3.0)), draw(st.floats(-10.0, 10.0)))
+    dt = draw(st.floats(1e-3, 0.05))
+    # up to 400 steps, the last one usually shorter than dt
+    t_final = draw(st.integers(0, 400)) * dt * draw(st.floats(0.5, 1.0))
+    return params, t_final, dt
+
+
+class TestTracerOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(tracer_cases())
+    # a spiral sink, collapsing at t = 0.1 in a run of uneven steps
+    @example((OrbitParams(1.5 - 10j * np.pi, 1.0), 0.25, 7e-3))
+    # r * r underflows to 0: theta's rate is gamma_r / +0
+    @example((OrbitParams(1 + 0j, 1e-170), 1e-3, 1e-4))
+    @example((OrbitParams(1e-300j, 1e-170), 1e-3, 1e-4))
+    def test_bit_identical_to_reference_tracer(self, case):
+        p, t_final, dt = case
+        # numpy warns where the scalar floats give the same inf or nan quietly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = tracer_outcome(lambda: reference_tracer(p, t_final, dt))
+        assert tracer_outcome(lambda: integrate_tracer(p, t_final, dt)) == expected
+
+    def test_collapse_mid_run_raises_on_both_sides(self):
+        # a sink that collapses at t = 0.5, in the middle of the run
+        p = OrbitParams(-2j * np.pi, 1.0)
+        with pytest.raises(CollapseReached):
+            reference_tracer(p, 1.0, 1e-3)
+        with pytest.raises(CollapseReached):
+            integrate_tracer(p, 1.0, 1e-3)
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_integrate_rejects(self, value):
+        with pytest.raises(ValueError):
+            integrate([0j, 1 + 0j], [1 + 0j, 1 + 0j], value)
+        with pytest.raises(ValueError):
+            integrate([0j, 1 + 0j], [1 + 0j, 1 + 0j], 0.1, dt=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_tracer_rejects(self, value):
+        p = OrbitParams(1 + 1j, 1.0)
+        with pytest.raises(ValueError):
+            integrate_tracer(p, value)
+        with pytest.raises(ValueError):
+            integrate_tracer(p, 0.1, dt=value)
+        with pytest.raises(ValueError):
+            single_orbit(p, value)
 
 
 class TestPointVelocities:
@@ -249,6 +351,11 @@ def oracle_cases():
     yield [0j, 5e-9 + 0j], [1e-15 + 0j, 1e-15 + 0j], 0.01, 1e-3  # close pass
     yield [0j, 5e-10 + 0j, 1 + 0j], [1 + 0j] * 3, 0.01, 1e-3  # contact
     yield [-0.0 - 0.0j], [3 + 0j], 0.05, 1e-3  # lone point
+    circle = np.exp(2j * np.pi * np.arange(51) / 51)
+    yield circle, solve_strengths(PointSet(circle)).strengths.values, 0.05, 1e-3
+    rng = np.random.default_rng(86)
+    z = random_points(rng, 201, min_gap=1e-3)
+    yield z, 1e-4 * (rng.standard_normal(201) + 1j * rng.standard_normal(201)), 0.02, 1e-3
 
 
 class TestIntegrateOracle:
@@ -260,6 +367,26 @@ class TestIntegrateOracle:
 
         expected = outcome(lambda: reference_integrate(z, g, t_final, dt))
         assert outcome(run) == expected
+
+    def test_back_to_back_calls_share_nothing(self):
+        # calls of different N in a row, then the first again: no work array
+        # or view may carry over between calls or into the trajectories
+        rng = np.random.default_rng(87)
+        cases = []
+        for n in (7, 13):
+            g = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            cases.append((random_points(rng, n), g))
+        cases.append(cases[0])
+        inputs = [z.tobytes() for z, _ in cases]
+        trajs = [integrate(z, g, 0.05, dt=1e-3) for z, g in cases]
+        assert [z.tobytes() for z, _ in cases] == inputs
+        for (z, g), traj in zip(cases, trajs):
+            expected = outcome(lambda: reference_integrate(z, g, 0.05, 1e-3))
+            assert outcome(lambda: (traj.times, traj.positions, traj.events)) == expected
+        for i, a in enumerate(trajs):
+            for b in trajs[i + 1:]:
+                assert not np.shares_memory(a.positions, b.positions)
+        assert trajs[2].positions.tobytes() == trajs[0].positions.tobytes()
 
     def test_non_finite_stage_aborts(self):
         # 1e305 / 1e-8 overflows: the first stage is infinite, later ones NaN
