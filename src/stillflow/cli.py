@@ -5,10 +5,11 @@ with sorted keys and shortest round-trip float encoding, field grids are
 CSV with 17-significant-digit decimals, and stdout tables round to 4
 decimal places. Identical inputs and seeds always produce identical bytes.
 
-Exit codes: 0 success, 2 invalid flags or unreadable input, 3 generation
-failure, 4 no equilibrium exists, 5 verification tolerance exceeded,
-6 collision or collapse during integration, 7 numerical failure (the
-LAPACK SVD did not converge).
+Exit codes: 0 success, 2 invalid flags, an unreadable or unwritable file
+or a malformed configuration, 3 generation failure, 4 no equilibrium
+exists, 5 verification tolerance exceeded, 6 collision or collapse during
+integration, 7 numerical failure (the LAPACK SVD did not converge). The
+commands raise, and main alone maps each exception to its exit code.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
     CollapseReached,
     CollisionAbort,
     ConvergenceFailure,
-    DegenerateConfiguration,
     NoEquilibrium,
     StillflowError,
 )
@@ -81,21 +81,31 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def load_configuration(path: str):
-    """Read a configuration file: points, optional strengths, metadata."""
+    """Read a configuration file: points, optional strengths, metadata.
+
+    A malformed file raises ValueError naming it.
+    """
     tree = json.loads(Path(path).read_text())
     if not isinstance(tree, dict) or "points" not in tree:
         raise ValueError(f"{path}: expected an object with a 'points' list")
-    pts = np.asarray(tree["points"], dtype=np.float64)
+    try:
+        pts = np.asarray(tree["points"], dtype=np.float64)
+        sv = tree.get("strengths")
+        sv = None if sv is None else np.asarray(sv, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: points and strengths must hold numbers only") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError(f"{path}: points must be a list of [x, y] pairs")
     positions = pts[:, 0] + 1j * pts[:, 1]
     strengths = None
-    if tree.get("strengths") is not None:
-        sv = np.asarray(tree["strengths"], dtype=np.float64)
+    if sv is not None:
         if sv.ndim != 2 or sv.shape[1] != 2 or sv.shape[0] != positions.size:
             raise ValueError(f"{path}: strengths must be [re, im] pairs matching points")
         strengths = sv[:, 0] + 1j * sv[:, 1]
-    return positions, strengths, tree.get("metadata", {})
+    metadata = tree.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"{path}: metadata must be an object")
+    return positions, strengths, metadata
 
 
 def configuration_tree(points, strengths=None, metadata=None) -> dict:
@@ -132,9 +142,7 @@ def _build_report(points: PointSet, solution, spec_report) -> dict:
             "per_point": [classify_singularity(g) for g in gamma],
             "far_field": far.kind,
             "total_strength": [far.total_strength.real, far.total_strength.imag],
-            "center_of_vorticity": (
-                None if not cov.defined else [cov.value.real, cov.value.imag]
-            ),
+            "center_of_vorticity": [cov.value.real, cov.value.imag] if cov.defined else None,
             "center_defined": bool(cov.defined),
             "moment": [cov.moment.real, cov.moment.imag],
         },
@@ -153,24 +161,16 @@ def _cmd_generate(args) -> int:
             points = generate_circle(
                 n, distribution, radius=args.radius, phase=args.phase, seed=args.seed
             )
-            meta["generator"] = "circle"
-            meta["radius"] = args.radius
-            meta["phase"] = args.phase
+            meta.update(generator="circle", radius=args.radius, phase=args.phase)
         elif args.curve is not None:
-            curve_dist = (
-                "random_parameter" if args.random else f"even_{args.spacing}"
-            )
+            curve_dist = "random_parameter" if args.random else f"even_{args.spacing}"
             spec = CurveSpec(args.curve, curve_dist, phase=args.phase)
             points = generate_polar_curve(spec, n, seed=args.seed)
-            meta["generator"] = args.curve
-            meta["distribution"] = curve_dist
-            meta["phase"] = args.phase
+            meta.update(generator=args.curve, distribution=curve_dist, phase=args.phase)
         else:
-            region = RegionSpec(*args.bounds, seed=args.seed)
-            points = generate_random_plane(n, region)
-            meta["generator"] = "plane"
-            meta["bounds"] = list(args.bounds)
-    except (DegenerateConfiguration, ValueError) as exc:
+            points = generate_random_plane(n, RegionSpec(*args.bounds, seed=args.seed))
+            meta.update(generator="plane", bounds=list(args.bounds))
+    except ValueError as exc:
         return _fail(EXIT_GENERATION, f"generation failed: {exc}")
     _emit(_dump_json(configuration_tree(points, metadata=meta)), args.out)
     return EXIT_OK
@@ -181,51 +181,36 @@ def _load_for_command(path: str):
     return PointSet(positions), strengths, metadata
 
 
+def _check_tolerance(value: float, flag: str) -> None:
+    if not value >= 0.0:  # fails closed: NaN is not a tolerance
+        raise ValueError(f"{flag} must be a non-negative number, got {value}")
+
+
 def _cmd_solve(args) -> int:
-    try:
-        points, _, metadata = _load_for_command(args.in_path)
-    except (OSError, ValueError, DegenerateConfiguration) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        solution = solve_strengths(points, rel_tol=args.tol)
-    except NoEquilibrium as exc:
-        return _fail(EXIT_NO_EQUILIBRIUM, f"no equilibrium: {exc}")
-    report = _build_report(
-        points, solution, spectral_report(build_matrix(points), mode=args.mode, rel_tol=args.tol)
-    )
+    points, _, metadata = _load_for_command(args.in_path)
+    solution = solve_strengths(points, rel_tol=args.tol)
+    report = _build_report(points, solution, spectral_report(solution.kernel, mode=args.mode))
     _emit(_dump_json(report), args.out)
     if args.save_config is not None:
-        meta = dict(metadata)
-        meta["solver"] = {"tol": args.tol, "residual": float(solution.residual)}
+        meta = {**metadata, "solver": {"tol": args.tol, "residual": float(solution.residual)}}
         tree = configuration_tree(points, solution.strengths, meta)
         Path(args.save_config).write_text(_dump_json(tree))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    try:
-        points, strengths, _ = _load_for_command(args.in_path)
-    except (OSError, ValueError, DegenerateConfiguration) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    _check_tolerance(args.residual_tol, "--residual-tol")
+    _check_tolerance(args.drift_tol, "--drift-tol")
+    points, strengths, _ = _load_for_command(args.in_path)
     if strengths is None:
-        return _fail(EXIT_USAGE, f"{args.in_path}: verify needs a file with strengths")
+        raise ValueError(f"{args.in_path}: verify needs a file with strengths")
     res = residual(build_matrix(points), strengths)
-    try:
-        drift = fixedness_check(points, strengths, t_final=args.t_final, dt=args.dt)
-    except CollisionAbort as exc:
-        return _fail(
-            EXIT_COLLISION,
-            f"collision at t = {exc.time:.6g}, pair {exc.pair}, distance {exc.distance:.3e}",
-        )
+    drift = fixedness_check(points, strengths, t_final=args.t_final, dt=args.dt)
     print(f"residual {res:.17g}")
     print(f"max_drift {drift:.17g}")
-    ok = res <= args.residual_tol and drift <= args.drift_tol
-    if not ok:
-        return _fail(
-            EXIT_TOLERANCE,
-            f"verification failed (residual tol {args.residual_tol:g},"
-            f" drift tol {args.drift_tol:g})",
-        )
+    if not (res <= args.residual_tol and drift <= args.drift_tol):
+        tols = f"residual tol {args.residual_tol:g}, drift tol {args.drift_tol:g}"
+        return _fail(EXIT_TOLERANCE, f"verification failed ({tols})")
     return EXIT_OK
 
 
@@ -244,15 +229,9 @@ def _grid_csv(grid) -> str:
 
 
 def _cmd_field(args) -> int:
-    try:
-        points, strengths, _ = _load_for_command(args.in_path)
-    except (OSError, ValueError, DegenerateConfiguration) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    points, strengths, _ = _load_for_command(args.in_path)
     if strengths is None:
-        try:
-            strengths = solve_strengths(points).strengths.values
-        except NoEquilibrium as exc:
-            return _fail(EXIT_NO_EQUILIBRIUM, f"no equilibrium: {exc}")
+        strengths = solve_strengths(points).strengths.values
     if args.ortho:
         strengths = 1j * strengths
     window = Window(*args.window) if args.window else default_window(points)
@@ -262,10 +241,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    try:
-        points, _, _ = _load_for_command(args.in_path)
-    except (OSError, ValueError, DegenerateConfiguration) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    points, _, _ = _load_for_command(args.in_path)
     report = spectral_report(build_matrix(points), mode=args.mode, rel_tol=args.tol)
     raw = " ".join(f"{s:.4f}" for s in report.sigma_raw)
     normalized = " ".join(f"{s:.4f}" for s in report.sigma_normalized)
@@ -278,12 +254,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    _check_tolerance(args.tol, "--tol")
     params = OrbitParams(complex(args.gamma[0], args.gamma[1]), args.r0, args.theta0)
-    try:
-        r_exact, th_exact = single_orbit(params, args.t_final)
-        r_num, th_num = integrate_tracer(params, args.t_final, dt=args.dt)
-    except CollapseReached as exc:
-        return _fail(EXIT_COLLISION, str(exc))
+    r_exact, th_exact = single_orbit(params, args.t_final)
+    r_num, th_num = integrate_tracer(params, args.t_final, dt=args.dt)
     # np.max, unlike max(), keeps a NaN in either difference
     err = float(np.max([abs(r_exact - r_num), abs(th_exact - th_num)]))
     print(f"analytic r {r_exact:.17g} theta {th_exact:.17g}")
@@ -381,12 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The one map from exception to exit code, most specific first
+    # (CollapseReached is also a ValueError).
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NoEquilibrium as exc:
+        return _fail(EXIT_NO_EQUILIBRIUM, f"no equilibrium: {exc}")
+    except CollisionAbort as exc:
+        at = f"t = {exc.time:.6g}, pair {exc.pair}, distance {exc.distance:.3e}"
+        return _fail(EXIT_COLLISION, f"collision at {at}")
+    except CollapseReached as exc:
+        return _fail(EXIT_COLLISION, str(exc))
     except ConvergenceFailure as exc:
         return _fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
-    except (StillflowError, ValueError) as exc:
+    except (StillflowError, ValueError, OSError) as exc:
         return _fail(EXIT_USAGE, str(exc))
 
 

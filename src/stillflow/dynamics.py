@@ -10,6 +10,7 @@ orbit in polar coordinates, used as the oracle for the integrator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ class OrbitParams:
     def __post_init__(self):
         if not (self.r0 > 0.0 and math.isfinite(self.r0)):
             raise ValueError(f"r0 must be positive, got {self.r0}")
+        if not (cmath.isfinite(self.gamma) and math.isfinite(self.theta0)):
+            raise ValueError(f"gamma and theta0 must be finite, got {self.gamma}, {self.theta0}")
 
 
 @dataclass(frozen=True)

@@ -48,15 +48,24 @@ class EquilibriumSolution:
     """One equilibrium strength vector plus the kernel it came from.
 
     strengths is the first kernel basis vector, rescaled so its leading
-    above-tolerance entry is exactly 1+0i. When the kernel has dimension
-    above one, basis carries the full orthonormal set (columns).
+    above-tolerance entry is exactly 1+0i. kernel is the RankReport the
+    rank decision came from (sigma, threshold, rank and the orthonormal
+    kernel basis as columns); nullity and basis read it, and
+    spectral_report(kernel) reuses its SVD.
     """
 
     strengths: StrengthVector
     residual: float
-    nullity: int
     zero_eigenvalue_multiplicity: int
-    basis: ComplexArray
+    kernel: linalg.RankReport
+
+    @property
+    def nullity(self) -> int:
+        return self.kernel.nullity
+
+    @property
+    def basis(self) -> ComplexArray:
+        return self.kernel.basis
 
 
 @dataclass(frozen=True)
@@ -128,9 +137,8 @@ def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
     return EquilibriumSolution(
         strengths=strengths,
         residual=residual(a, strengths),
-        nullity=report.nullity,
         zero_eigenvalue_multiplicity=linalg.zero_eigenvalue_multiplicity(a),
-        basis=report.basis,
+        kernel=report,
     )
 
 

@@ -102,8 +102,12 @@ def spectral_report(a, mode: str = "power", rel_tol: float = 1e-10) -> SpectralR
     and the spectral gap. The same threshold that defines the kernel for
     the solver decides which singular values count as zero here, so both
     views of "rank" agree.
+
+    a is a ConfigurationMatrix, a square complex array, or a RankReport
+    already decided from one (an EquilibriumSolution's kernel), whose rank
+    decision stands: no second SVD runs and rel_tol is not read.
     """
-    report = linalg.nullspace(a, rel_tol=rel_tol)
+    report = a if isinstance(a, linalg.RankReport) else linalg.nullspace(a, rel_tol=rel_tol)
     sigma = report.sigma
     nonzero = sigma[: report.rank]
     normalized = normalize_spectrum(nonzero, mode=mode)

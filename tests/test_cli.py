@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stillflow import FieldGrid, Window, cli, single_orbit, velocity_grid
+from stillflow import FieldGrid, Window, cli, core, single_orbit, velocity_grid
 from stillflow.cli import (
     EXIT_COLLISION,
     EXIT_GENERATION,
@@ -78,6 +78,24 @@ class TestConfigurationFiles:
         path.write_text('{"points": [[0,0],[1,0]], "strengths": [[1,0]]}')
         with pytest.raises(ValueError):
             load_configuration(str(path))
+
+    @pytest.mark.parametrize("text, command", ids=["points", "strengths", "metadata"], argvalues=[
+        ('{"points": [[{}, 1], [0, 1]]}', ["solve"]),
+        ('{"points": [[0, 0], [0.5, 0], [1, 0]], "strengths": [[1, 0], [{}, 0], [1, 0]]}',
+         ["verify"]),
+        ('{"points": [[0, 0], [0.5, 0], [1, 0]], "metadata": 5}',
+         ["solve", "--save-config", "{out}"]),
+    ])
+    def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, text, command):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.json"):
+            load_configuration(str(path))
+        out = tmp_path / "out.json"
+        args = [command[0], "--in", str(path)] + [a.format(out=out) for a in command[1:]]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -344,6 +362,13 @@ class TestOutOfRangeArguments:
         ["verify", "--dt", "nan"],
         ["orbit", "--gamma", "1", "1", "--r0", "1", "--t-final", "nan"],
         ["orbit", "--gamma", "1", "1", "--r0", "1", "--dt", "nan"],
+        ["orbit", "--gamma", "nan", "0", "--r0", "1"],
+        ["orbit", "--gamma", "1", "0", "--r0", "1", "--theta0", "nan"],
+        ["orbit", "--gamma", "1", "1", "--r0", "1", "--tol", "nan"],
+        ["verify", "--drift-tol", "nan"],
+        ["verify", "--residual-tol", "nan"],
+        ["verify", "--drift-tol", "-1"],
+        ["orbit", "--gamma", "1", "1", "--r0", "1", "--tol", "-1"],
     ])
     def test_value_error_exits_2(self, tmp_path, capsys, args):
         if args[0] != "orbit":
@@ -351,6 +376,73 @@ class TestOutOfRangeArguments:
         capsys.readouterr()
         assert main(args) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ["generate", "--line", "--n", "7", "--out"],
+        ["solve", "--out"],
+        ["solve", "--save-config"],
+        ["field", "--nx", "5", "--ny", "5", "--out"],
+    ])
+    def test_missing_directory_exits_2(self, tmp_path, capsys, command):
+        target = tmp_path / "missing" / "x.out"
+        args = command + [str(target)]
+        if args[0] != "generate":
+            args = [args[0], "--in", solved_line(tmp_path)] + args[1:]
+        capsys.readouterr()
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{target}'\n")
+
+
+def svd_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+
+
+class TestExitCodeTable:
+    """Every failure main maps to an exit code, with its exact stderr line."""
+
+    NO_EQUILIBRIUM = ("error: no equilibrium: configuration of 2 points has a trivial kernel"
+                      " (smallest singular value 1.000e+00 above threshold 2.000e-10)\n")
+    NUMERICAL = "error: numerical failure: SVD did not converge (n=7): SVD did not converge\n"
+
+    @pytest.mark.parametrize("argv, setup, code, err", ids=[
+        "missing-file", "no-strengths", "solve-4", "field-4", "verify-6", "orbit-6",
+        "solve-7", "spectrum-7",
+    ], argvalues=[
+        (["solve", "--in", "{dir}/absent.json"], None, EXIT_USAGE,
+         "error: [Errno 2] No such file or directory: '{dir}/absent.json'\n"),
+        (["verify", "--in", "{circle}"], None, EXIT_USAGE,
+         "error: {circle}: verify needs a file with strengths\n"),
+        (["solve", "--in", "{pair}"], None, EXIT_NO_EQUILIBRIUM, NO_EQUILIBRIUM),
+        (["field", "--in", "{pair}"], None, EXIT_NO_EQUILIBRIUM, NO_EQUILIBRIUM),
+        (["verify", "--in", "{sinks}"], None, EXIT_COLLISION,
+         "error: collision at t = 0.249, pair (0, 1), distance 6.324e-02\n"),
+        (["orbit", "--gamma", "0", "-6.283185307179586", "--r0", "1"], None, EXIT_COLLISION,
+         "error: tracer reaches the sink at t = 0.5, requested t = 1\n"),
+        (["solve", "--in", "{circle}"], svd_fails, EXIT_NUMERICAL, NUMERICAL),
+        (["spectrum", "--in", "{circle}"], svd_fails, EXIT_NUMERICAL, NUMERICAL),
+    ])
+    def test_exit_code_and_stderr(self, tmp_path, capsys, monkeypatch, argv, setup, code, err):
+        names = {
+            "dir": str(tmp_path),
+            "circle": str(tmp_path / "circle.json"),
+            "pair": write_config(tmp_path / "pair.json", [0j, 1 + 0j]),
+            "sinks": write_config(tmp_path / "sinks.json", [0j, 1 + 0j],
+                                  strengths=[-2j * np.pi, -2j * np.pi]),
+        }
+        main(["generate", "--circle", "--n", "7", "--out", names["circle"]])
+        if setup is not None:
+            setup(monkeypatch)
+        capsys.readouterr()
+        assert main([a.format(**names) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err.format(**names)
+        assert captured.out == ""
 
 
 class TestNumericalFailure:
@@ -365,6 +457,33 @@ class TestNumericalFailure:
         capsys.readouterr()
         assert main([command, "--in", str(cfg)]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("error: numerical failure: ")
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("mode", ["power", "linear"])
+    def test_solve_builds_and_factors_once(self, tmp_path, capsys, monkeypatch, mode):
+        cfg = tmp_path / "c.json"
+        main(["generate", "--circle", "--n", "7", "--out", str(cfg)])
+        calls = {"svd": 0, "build_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        original = core.build_matrix
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stillflow") and getattr(module, "build_matrix", None) is original:
+                monkeypatch.setattr(module, "build_matrix", counted("build_matrix", original))
+        capsys.readouterr()
+        assert main(["solve", "--in", str(cfg), "--mode", mode,
+                     "--save-config", str(tmp_path / "s.json")]) == EXIT_OK
+        assert calls == {"svd": 1, "build_matrix": 1}
+        report = json.loads(capsys.readouterr().out)
+        assert report["spectrum"]["mode"] == mode
+        assert report["spectrum"]["rank"] == 6
 
 
 class TestModuleEntryPoint:

@@ -1,14 +1,23 @@
 """Spectral distributions, entropy, gap."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stillflow import (
     EmptySpectrum,
     InvalidDistribution,
+    NoEquilibrium,
+    PointSet,
+    SpectralReport,
     build_matrix,
     normalize_spectrum,
+    nullspace,
     shannon_entropy,
+    solve_strengths,
     spectral_report,
 )
 
@@ -136,3 +145,49 @@ class TestSpectralReport:
         flat = shannon_entropy(np.full(6, 1 / 6))
         skew = normalize_spectrum(np.array([8.0, 8, 1, 1, 0.5, 0.5]), mode="power")
         assert shannon_entropy(skew) < flat
+
+
+@st.composite
+def configurations(draw):
+    """Odd N in general position, even N in general position (generically
+    no kernel), or a regular odd polygon plus its center (even N with a
+    two-dimensional kernel), moved by a random similarity."""
+    kind = draw(st.sampled_from(["odd", "even", "even_kernel"]))
+    n = 2 * draw(st.integers(1, 12)) + (kind != "even")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "even_kernel":
+        z = np.append(np.exp(2j * np.pi * np.arange(n) / n), 0)
+    else:
+        z = random_points(rng, n)
+    scale = draw(st.floats(1e-3, 1e3)) * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    return scale * z + complex(*rng.uniform(-5, 5, 2)), kind
+
+
+def same_bits(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+class TestReportFromSolution:
+    @settings(max_examples=150, deadline=None)
+    @given(configurations(), st.sampled_from(["power", "linear"]),
+           st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-3]))
+    def test_solution_kernel_reproduces_matrix_report(self, case, mode, tol):
+        z, kind = case
+        points = PointSet(z)
+        direct = spectral_report(build_matrix(points), mode=mode, rel_tol=tol)
+        try:
+            kernel = solve_strengths(points, rel_tol=tol).kernel
+        except NoEquilibrium:
+            assert kind == "even" and direct.rank == z.size
+            kernel = nullspace(build_matrix(points), rel_tol=tol)
+        if kind == "even_kernel":
+            assert kernel.nullity == 2
+        # the report's rank decision stands whatever rel_tol says
+        for via in (spectral_report(kernel, mode=mode),
+                    spectral_report(kernel, mode=mode, rel_tol=0.5)):
+            for field in dataclasses.fields(SpectralReport):
+                assert same_bits(getattr(via, field.name), getattr(direct, field.name)), field
