@@ -10,11 +10,16 @@ or a malformed configuration, 3 generation failure, 4 no equilibrium
 exists, 5 verification tolerance exceeded, 6 collision or collapse during
 integration, 7 numerical failure (the LAPACK SVD did not converge). The
 commands raise, and main alone maps each exception to its exit code.
+
+main builds its argument parser once per process and parses every call
+with it, so a caller that runs many commands in one process pays for the
+parser once; build_parser returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import repeat
@@ -80,6 +85,11 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text)
 
 
+def _json_numbers(pairs) -> bool:
+    """Whether every entry of a list of pairs is a JSON number (not a bool)."""
+    return all(type(x) in (int, float) for pair in pairs for x in pair)
+
+
 def load_configuration(path: str):
     """Read a configuration file: points, optional strengths, metadata.
 
@@ -88,19 +98,25 @@ def load_configuration(path: str):
     tree = json.loads(Path(path).read_text())
     if not isinstance(tree, dict) or "points" not in tree:
         raise ValueError(f"{path}: expected an object with a 'points' list")
+    numbers_only = f"{path}: points and strengths must hold numbers only"
     try:
         pts = np.asarray(tree["points"], dtype=np.float64)
         sv = tree.get("strengths")
         sv = None if sv is None else np.asarray(sv, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: points and strengths must hold numbers only") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(numbers_only) from None
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError(f"{path}: points must be a list of [x, y] pairs")
+    # np.asarray also reads the JSON strings "0.5", true and null as numbers
+    if not _json_numbers(tree["points"]):
+        raise ValueError(numbers_only)
     positions = pts[:, 0] + 1j * pts[:, 1]
     strengths = None
     if sv is not None:
         if sv.ndim != 2 or sv.shape[1] != 2 or sv.shape[0] != positions.size:
             raise ValueError(f"{path}: strengths must be [re, im] pairs matching points")
+        if not _json_numbers(tree["strengths"]):
+            raise ValueError(numbers_only)
         strengths = sv[:, 0] + 1j * sv[:, 1]
     metadata = tree.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -190,11 +206,14 @@ def _cmd_solve(args) -> int:
     points, _, metadata = _load_for_command(args.in_path)
     solution = solve_strengths(points, rel_tol=args.tol)
     report = _build_report(points, solution, spectral_report(solution.kernel, mode=args.mode))
-    _emit(_dump_json(report), args.out)
+    text = _dump_json(report)
+    # The configuration is written first, so that a --save-config that
+    # cannot be written leaves no report behind.
     if args.save_config is not None:
         meta = {**metadata, "solver": {"tol": args.tol, "residual": float(solution.residual)}}
         tree = configuration_tree(points, solution.strengths, meta)
         Path(args.save_config).write_text(_dump_json(tree))
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -270,6 +289,7 @@ def _cmd_orbit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the six subcommands on every call."""
     parser = argparse.ArgumentParser(
         prog="stillflow",
         description="Find, verify, and classify stationary configurations of"
@@ -354,10 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than a small command's own work.
+    # parse_args keeps no state between calls: each returns a new namespace.
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # The one map from exception to exit code, most specific first
     # (CollapseReached is also a ValueError).
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NoEquilibrium as exc:

@@ -8,6 +8,7 @@ reproduces the identical PointSet, bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +141,29 @@ def generate_circle(
 
 def _arclength_table(spec: CurveSpec):
     """Cumulative arclength s(theta) on a dense uniform grid, by the
-    trapezoid rule on the polar speed sqrt(r'^2 + r^2)."""
+    trapezoid rule on the polar speed sqrt(r'^2 + r^2).
+
+    The table depends on the curve alone, not on the phase, n or seed. A
+    built-in curve's table is computed once per process and its arrays are
+    read-only; a custom curve's table is computed on every call, so that
+    user tables are never held.
+    """
+    if spec.curve == "custom":
+        return _trapezoid_arclength(spec.radius_at)
+    return _builtin_arclength_table(spec.curve)
+
+
+@functools.cache
+def _builtin_arclength_table(curve: str):
+    theta, s = _trapezoid_arclength(CurveSpec(curve).radius_at)
+    theta.flags.writeable = False
+    s.flags.writeable = False
+    return theta, s
+
+
+def _trapezoid_arclength(radius_at):
     theta = np.linspace(0.0, 2.0 * np.pi, ARCLENGTH_SAMPLES + 1)
-    r = spec.radius_at(theta)
+    r = radius_at(theta)
     dr = np.gradient(r, theta)
     speed = np.hypot(dr, r)
     ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(theta)
@@ -154,7 +175,8 @@ def generate_polar_curve(spec: CurveSpec, n: int, seed: int | None = None) -> Po
     """Points on a polar curve, placed according to spec.distribution.
 
     even_arclength inverts the cumulative arclength table at equal
-    increments; even_parameter takes theta_k = 2 pi k / n; random_parameter
+    increments (a built-in curve's table is computed once per process and
+    reused); even_parameter takes theta_k = 2 pi k / n; random_parameter
     draws sorted uniform thetas. Placements whose points collide (curves
     pass through the origin) raise DegenerateConfiguration; random draws
     are retried first.

@@ -1,5 +1,6 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from stillflow.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
+    build_parser,
     configuration_tree,
     load_configuration,
     main,
@@ -42,6 +44,16 @@ def solved_line(tmp_path):
     main(["solve", "--in", str(cfg), "--out", str(tmp_path / "r.json"),
           "--save-config", str(solved)])
     return str(solved)
+
+
+def run_module(argv):
+    """python -m stillflow.cli in a fresh process: (exit code, stdout, stderr)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stillflow.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def per_node_grid_csv(grid):
@@ -79,11 +91,22 @@ class TestConfigurationFiles:
         with pytest.raises(ValueError):
             load_configuration(str(path))
 
-    @pytest.mark.parametrize("text, command", ids=["points", "strengths", "metadata"], argvalues=[
+    @pytest.mark.parametrize("text, command", ids=[
+        "points", "strengths", "metadata", "quoted-points", "bool-point", "null-point",
+        "huge-int-point", "bool-strength", "quoted-strength",
+    ], argvalues=[
         ('{"points": [[{}, 1], [0, 1]]}', ["solve"]),
         ('{"points": [[0, 0], [0.5, 0], [1, 0]], "strengths": [[1, 0], [{}, 0], [1, 0]]}',
          ["verify"]),
         ('{"points": [[0, 0], [0.5, 0], [1, 0]], "metadata": 5}',
+         ["solve", "--save-config", "{out}"]),
+        ('{"points": [["0", "0"], ["0.5", 0], [1, 0]]}', ["spectrum"]),
+        ('{"points": [[true, 0], [0.5, 0], [0, 1]]}', ["spectrum"]),
+        ('{"points": [[null, 0], [0.5, 0], [1, 0]]}', ["solve"]),
+        ('{"points": [[1%s, 0], [0.5, 0], [1, 0]]}' % ("0" * 400), ["spectrum"]),
+        ('{"points": [[0, 0], [0.5, 0], [1, 0]], "strengths": [[1, 0], [1, false], [1, 0]]}',
+         ["verify"]),
+        ('{"points": [[0, 0], [0.5, 0], [1, 0]], "strengths": [[1, 0], ["-0.5", 0], [1, 0]]}',
          ["solve", "--save-config", "{out}"]),
     ])
     def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, text, command):
@@ -392,8 +415,17 @@ class TestUnwritableOutput:
             args = [args[0], "--in", solved_line(tmp_path)] + args[1:]
         capsys.readouterr()
         assert main(args) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: [Errno 2] No such file or directory: '{target}'\n")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+    def test_unwritable_save_config_writes_no_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        target = tmp_path / "missing" / "x.json"
+        args = ["solve", "--in", solved_line(tmp_path), "--out", str(report),
+                "--save-config", str(target)]
+        assert main(args) == EXIT_USAGE
+        assert not report.exists()
 
 
 def svd_fails(monkeypatch):
@@ -488,15 +520,53 @@ class TestOneFactorization:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_writes_output(self, tmp_path):
-        src = Path(cli.__file__).resolve().parents[1]
         out = tmp_path / "m.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "stillflow.cli", "generate", "--circle", "--n", "7",
-             "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
+        code, _, err = run_module(["generate", "--circle", "--n", "7", "--out", str(out)])
+        assert code == EXIT_OK, err
         assert len(json.loads(out.read_text())["points"]) == 7
+
+
+class TestOneParserPerProcess:
+    def test_main_builds_no_parser_after_the_first_call(self, capsys, monkeypatch):
+        main(["generate", "--line", "--n", "3"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["generate", "--circle", "--n", "5"],
+                     ["orbit", "--gamma", "1", "0", "--r0", "1"],
+                     ["generate", "--line", "--n", "3"]):
+            assert main(argv) == EXIT_OK
+        assert built == []
+        build_parser()  # the counter does see a parser being built
+        assert built
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_calls_give_the_bytes_of_a_fresh_process(self, capsys, monkeypatch):
+        # The usage message wraps at the terminal width, so fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            ["generate", "--circle", "--n", "5", "--phase", "0.5"],
+            ["generate", "--line", "--n", "5"],
+            ["generate", "--line"],  # usage error: --n is missing
+            ["generate", "--curve", "flower", "--n", "5"],
+        ]
+        in_process = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert in_process[2][0] == EXIT_USAGE
+        assert in_process == [run_module(argv) for argv in sequence]
 
 
 class TestRoundTrip:

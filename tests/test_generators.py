@@ -13,6 +13,19 @@ from stillflow import (
     generate_random_plane,
     solve_strengths,
 )
+from stillflow import generators
+from stillflow.generators import ARCLENGTH_SAMPLES, _arclength_table
+
+
+def arclength_placement(spec, n, samples=ARCLENGTH_SAMPLES):
+    """even_arclength placement from an arclength table computed afresh."""
+    theta = np.linspace(0.0, 2.0 * np.pi, samples + 1)
+    r = spec.radius_at(theta)
+    dr = np.gradient(r, theta)
+    speed = np.hypot(dr, r)
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(theta))])
+    t = np.interp(s[-1] * np.arange(n) / n, s, theta)
+    return spec.radius_at(t) * np.exp(1j * (t + spec.phase))
 
 
 class TestCollinear:
@@ -113,14 +126,7 @@ class TestPolarCurve:
         for curve in ("flower", "figure_eight"):
             spec = CurveSpec(curve, distribution="even_arclength")
             ps = generate_polar_curve(spec, 7)
-            theta = np.linspace(0, 2 * np.pi, 1_000_001)
-            r = spec.radius_at(theta)
-            dr = np.gradient(r, theta)
-            speed = np.hypot(dr, r)
-            s = np.concatenate([[0.0], np.cumsum(
-                0.5 * (speed[1:] + speed[:-1]) * np.diff(theta))])
-            t = np.interp(s[-1] * np.arange(7) / 7, s, theta)
-            expect = spec.radius_at(t) * np.exp(1j * t)
+            expect = arclength_placement(spec, 7, samples=1_000_000)
             assert np.abs(ps.positions - expect).max() <= 1e-5
 
     def test_seven_point_presets_admit_equilibria(self):
@@ -147,6 +153,47 @@ class TestPolarCurve:
             [theta, np.ones_like(theta)]))
         ps = generate_polar_curve(spec, 6)
         assert np.allclose(np.abs(ps.positions), 1.0, atol=1e-6)
+
+
+class TestArclengthTable:
+    @pytest.mark.parametrize("curve", ["flower", "figure_eight"])
+    def test_placements_match_a_fresh_table(self, curve):
+        for n in (3, 7, 21, 51):
+            for phase in (0.0, 0.3, -2.0):
+                spec = CurveSpec(curve, phase=phase)
+                got = generate_polar_curve(spec, n).positions
+                assert got.tobytes() == arclength_placement(spec, n).tobytes()
+
+    def test_builtin_table_computed_once_and_read_only(self, monkeypatch):
+        computed = []
+        compute = generators._trapezoid_arclength
+
+        def counted(radius_at):
+            computed.append(radius_at)
+            return compute(radius_at)
+
+        monkeypatch.setattr(generators, "_trapezoid_arclength", counted)
+        generators._builtin_arclength_table.cache_clear()
+        for curve in ("flower", "figure_eight"):
+            tables = [_arclength_table(CurveSpec(curve, phase=phase)) for phase in (0.0, 1.0)]
+            for n in (7, 21):
+                generate_polar_curve(CurveSpec(curve, phase=0.5), n)
+            assert all(a is b for a, b in zip(*tables))
+            for arr in tables[0]:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        assert len(computed) == 2
+        assert generators._builtin_arclength_table.cache_info().currsize == 2
+
+    def test_custom_tables_give_their_own_placements(self):
+        theta = np.linspace(0, 2 * np.pi, 361)
+        specs = [CurveSpec("custom", samples=np.column_stack([theta, r]))
+                 for r in (np.ones_like(theta), 1.0 + 0.5 * np.cos(theta) ** 2)]
+        got = [generate_polar_curve(spec, 7).positions for spec in specs]
+        for spec, positions in zip(specs, got):
+            assert positions.tobytes() == arclength_placement(spec, 7).tobytes()
+        assert np.abs(got[0] - got[1]).max() > 0.1
 
 
 class TestRandomPlane:
