@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ComplexArray, FloatArray
 from .errors import CollapseReached, CollisionAbort
-from .field import _inputs
+from .field import _field_sum, _inputs
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,9 @@ def point_velocities(points, strengths) -> ComplexArray:
     exactly on equilibria. A single point never moves itself.
     """
     z, gamma, _ = _inputs(points, strengths)
-    velocity = np.zeros(z.size, dtype=np.complex128)
-    if z.size > 1:
-        diff, diag = _pair_buffer(z.size)
-        _velocities(_differences(z, diff, diag), diag, gamma, velocity)
-    return velocity
+    if z.size == 1:
+        return np.zeros(1, dtype=np.complex128)
+    return _field_sum(_differences(z, *_pair_buffer(z.size)), gamma)
 
 
 def _pair_buffer(n: int) -> tuple[ComplexArray, ComplexArray]:
@@ -153,21 +151,12 @@ def _pair_buffer(n: int) -> tuple[ComplexArray, ComplexArray]:
 
 
 def _differences(z: ComplexArray, diff: ComplexArray, diag: ComplexArray) -> ComplexArray:
-    """z_a - z_b into diff, with a unit diagonal so that dividing by it stays finite."""
+    """z_a - z_b into diff, with an infinite diagonal: the separation of a
+    point from itself never limits a step, and its own term Gamma_a / inf
+    adds nothing to its velocity."""
     np.subtract(z[:, None], z[None, :], out=diff)
-    diag.fill(1.0)
+    diag.fill(np.inf)
     return diff
-
-
-def _velocities(diff: ComplexArray, diag: ComplexArray, gamma: ComplexArray,
-                out: ComplexArray) -> ComplexArray:
-    """point_velocities on validated input into out, given _differences of
-    the points; diff is overwritten with the terms Gamma_b / (z_a - z_b)."""
-    np.divide(gamma, diff, out=diff)
-    diag.fill(0.0)
-    np.add.reduce(diff, axis=1, out=out)
-    np.divide(out, 2.0j * math.pi, out=out)
-    return np.conjugate(out, out=out)
 
 
 def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> TrajectorySet:
@@ -182,9 +171,9 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
 
     The work arrays (one n x n difference matrix and its moduli, the four
     stages and their moduli, one stage input) are allocated once per call
-    and filled in place, so a step allocates only the new positions. Every
-    step makes the same floating-point operations in the same order as
-    forming each stage afresh.
+    and filled in place, so a step allocates only the new positions and an
+    n-vector per stage. Every step makes the same floating-point operations
+    in the same order as forming each stage afresh.
 
     Raises
     ------
@@ -201,7 +190,6 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     diff, diag = _pair_buffer(n)
     gap = np.empty((n, n))
     gap_flat = gap.reshape(-1)
-    gap_diag = gap_flat[:: n + 1]
     stages = np.zeros((4, n), dtype=np.complex128)
     k1, k2, k3, k4 = stages
     speed = np.empty((4, n))
@@ -218,7 +206,6 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
         # a lone point never moves: its stages stay zero
         if n > 1:
             np.abs(_differences(z, diff, diag), out=gap)
-            gap_diag.fill(np.inf)
             nearest = int(gap_flat.argmin())
             sep = float(gap_flat[nearest])
             a, b = divmod(nearest, n)
@@ -232,13 +219,13 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
             if sep < 10.0 * delta_min and pair not in warned:
                 warned.add(pair)
                 events.append(CollisionEvent(t, pair, sep))
-            _velocities(diff, diag, gamma, k1)
+            _field_sum(diff, gamma, k1)
             np.add(z, np.multiply(0.5 * h, k1, out=work), out=work)
-            _velocities(_differences(work, diff, diag), diag, gamma, k2)
+            _field_sum(_differences(work, diff, diag), gamma, k2)
             np.add(z, np.multiply(0.5 * h, k2, out=work), out=work)
-            _velocities(_differences(work, diff, diag), diag, gamma, k3)
+            _field_sum(_differences(work, diff, diag), gamma, k3)
             np.add(z, np.multiply(h, k3, out=work), out=work)
-            _velocities(_differences(work, diff, diag), diag, gamma, k4)
+            _field_sum(_differences(work, diff, diag), gamma, k4)
             # A non-finite stage makes reach NaN, which aborts like a blow-up.
             reach = h * float(np.abs(stages, out=speed).max())
             if not reach <= 0.25 * sep:

@@ -43,8 +43,9 @@ class Window:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("window rectangle is empty")
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise ValueError(f"window rectangle is empty or not finite: {self}")
 
     def contains(self, z: complex) -> bool:
         return self.x_min <= z.real <= self.x_max and self.y_min <= z.imag <= self.y_max
@@ -72,15 +73,13 @@ class Streamline:
     terminated_by: str
 
 
-def default_window(points, pad: float = 0.5) -> Window:
-    """Configuration bounding box padded by `pad` of its extent per side."""
+def default_window(points) -> Window:
+    """Configuration bounding box padded by half its extent per side."""
     z = as_positions(points)
     x_min, x_max = float(z.real.min()), float(z.real.max())
     y_min, y_max = float(z.imag.min()), float(z.imag.max())
-    span = max(x_max - x_min, y_max - y_min, 1.0)
-    return Window(
-        x_min - pad * span, x_max + pad * span, y_min - pad * span, y_max + pad * span
-    )
+    pad = 0.5 * max(x_max - x_min, y_max - y_min, 1.0)
+    return Window(x_min - pad, x_max + pad, y_min - pad, y_max + pad)
 
 
 def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray, float]:
@@ -93,13 +92,31 @@ def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray, float]:
     return positions, gamma, floor
 
 
-def _field(z, positions: ComplexArray, gamma: ComplexArray):
-    probes = np.asarray(z, dtype=np.complex128)
-    diff = probes[..., None] - positions
-    return np.conj((gamma / diff).sum(axis=-1) / (2.0j * math.pi))
+def _field_sum(diff: ComplexArray, gamma: ComplexArray, out=None):
+    """conj(sum_b Gamma_b / diff[..., b] / (2 pi i)) over the last axis of diff.
+
+    diff holds the differences z - z_b from each probe z to every point, and
+    is overwritten with the terms. An infinite difference adds nothing, which
+    is how a point's own term drops out of its velocity. One probe (1-D
+    diff, no out) gives a numpy scalar.
+    """
+    np.divide(gamma, diff, out=diff)
+    total = np.add.reduce(diff, axis=-1, out=out)
+    return np.conjugate(total / (2.0j * math.pi), out=out)
 
 
-def velocity_at(points, strengths, z: complex, delta_min: float | None = None) -> complex:
+def _outside_floor(z: complex, positions: ComplexArray, floor: float) -> ComplexArray:
+    """The differences z - z_b, unless z is within the floor of a point."""
+    diff = z - positions
+    dist = np.abs(diff)
+    nearest = int(np.argmin(dist))
+    if dist[nearest] < floor:
+        raise SingularPoint(f"probe at {z} is within {dist[nearest]:.3e}"
+                            f" of singularity {nearest}")
+    return diff
+
+
+def velocity_at(points, strengths, z: complex) -> complex:
     """Velocity of the superposed field at one probe.
 
     Raises
@@ -109,16 +126,7 @@ def velocity_at(points, strengths, z: complex, delta_min: float | None = None) -
         (the field blows up as 1/distance there).
     """
     positions, gamma, floor = _inputs(points, strengths)
-    if delta_min is not None:
-        floor = delta_min
-    z = complex(z)
-    dist = np.abs(z - positions)
-    nearest = int(np.argmin(dist))
-    if dist[nearest] < floor:
-        raise SingularPoint(
-            f"probe at {z} is within {dist[nearest]:.3e} of singularity {nearest}"
-        )
-    return complex(_field(z, positions, gamma))
+    return complex(_field_sum(_outside_floor(complex(z), positions, floor), gamma))
 
 
 def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldGrid:
@@ -155,85 +163,80 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
         if dist.min() < floor:
             hit = (dist < floor).any(axis=1)
             flat_singular[lo:hi] = hit
-            # Flagged nodes get velocity zero below; a unit difference
-            # keeps their discarded terms finite.
+            # a unit difference keeps the discarded terms of flagged nodes finite
             diff[hit] = 1.0
-        terms = np.divide(gamma, diff, out=diff)
-        np.conjugate(terms.sum(axis=1) / (2.0j * math.pi), out=flat_vel[lo:hi])
+        _field_sum(diff, gamma, out=flat_vel[lo:hi])
     vel[singular] = 0.0
     for arr in (xs, ys, vel, singular):
         arr.setflags(write=False)
     return FieldGrid(window, xs, ys, vel, singular)
 
 
-def trace_streamline(
-    points,
-    strengths,
-    start: complex,
-    step: float = 1e-2,
-    max_steps: int = 10_000,
-    window: Window | None = None,
-    stagnation_tol: float = 1e-12,
-) -> Streamline:
+def trace_streamline(points, strengths, start: complex, step: float = 1e-2,
+                     max_steps: int = 10_000, window: Window | None = None) -> Streamline:
     """March a streamline through the frozen field with arclength RK4 steps.
 
-    The advected direction is v/|v|, so vertices are spaced by `step`
-    regardless of speed. Termination: leaving the window, exhausting
-    max_steps, approaching a singularity closer than the larger of the
-    step and ten separation floors (the path cannot be resolved past
-    that), or hitting a stagnation point where the direction is undefined.
+    The advected direction is v/|v|, so vertices are spaced by |step|
+    regardless of speed; a negative step runs against the flow.
+    Termination: leaving the window, exhausting max_steps, approaching a
+    singularity closer than the larger of |step| and ten separation floors
+    (the path cannot be resolved past that), or a stagnation point, where
+    the speed is at most 1e-12 of the largest strength (or of 1) and the
+    direction is undefined.
 
     Raises
     ------
+    ValueError
+        If the step is zero or not finite.
     SingularPoint
         If the start itself is inside the singular zone.
     """
+    if step == 0.0 or not math.isfinite(step):
+        raise ValueError(f"step must be finite and nonzero, got {step}")
     positions, gamma, floor = _inputs(points, strengths)
     if window is None:
         window = default_window(points)
-    approach = max(10.0 * floor, step)
-    scale = float(np.abs(gamma).max())
+    approach = max(10.0 * floor, abs(step))
+    stagnant = 1e-12 * max(float(np.abs(gamma).max()), 1.0)
 
-    def direction(z):
-        v = complex(_field(z, positions, gamma))
+    def direction(diff):
+        v = complex(_field_sum(diff, gamma))
         speed = abs(v)
-        if speed <= stagnation_tol * max(scale, 1.0):
-            return None
-        return v / speed
+        return None if speed <= stagnant else v / speed
 
     z = complex(start)
-    if float(np.abs(z - positions).min()) < floor:
-        raise SingularPoint(f"streamline start {z} is inside the singular zone")
+    diff = _outside_floor(z, positions, floor)
     vertices = [z]
     terminated = "step_limit"
     for _ in range(max_steps):
-        if float(np.abs(z - positions).min()) < approach:
+        if float(np.abs(diff).min()) < approach:
             terminated = "singularity_approach"
             break
         if not window.contains(z):
             terminated = "window_exit"
             break
-        d1 = direction(z)
+        d1 = direction(diff)
         if d1 is None:
             terminated = "stagnation"
             break
-        d2 = direction(z + 0.5 * step * d1)
-        d3 = direction(z + 0.5 * step * d2) if d2 is not None else None
-        d4 = direction(z + step * d3) if d3 is not None else None
+        d2 = direction(z + 0.5 * step * d1 - positions)
+        d3 = direction(z + 0.5 * step * d2 - positions) if d2 is not None else None
+        d4 = direction(z + step * d3 - positions) if d3 is not None else None
         if d2 is None or d3 is None or d4 is None:
             terminated = "stagnation"
             break
         z = z + (step / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         vertices.append(z)
+        diff = z - positions
     out = np.asarray(vertices, dtype=np.complex128)
     out.setflags(write=False)
     return Streamline(out, terminated)
 
 
-def far_field_deviation(points, strengths, radius: float, samples: int = 64) -> float:
+def far_field_deviation(points, strengths, radius: float) -> float:
     """Worst relative mismatch against the equivalent single singularity.
 
-    Probes on the circle of the given radius about the center of vorticity
+    64 probes on the circle of the given radius about the center of vorticity
     compare the configuration's field with that of one singularity of the
     total strength at the center; the returned value is
     max |v_config - v_single| / |v_single|. The residual multipole falls
@@ -245,22 +248,21 @@ def far_field_deviation(points, strengths, radius: float, samples: int = 64) -> 
     UndefinedFarField
         When the total strength cancels (no single-singularity far field).
     ValueError
-        If the radius is inside three configuration diameters.
+        If the radius is not finite or is inside three configuration
+        diameters.
     """
     positions, gamma, _ = _inputs(points, strengths)
     total = complex(gamma.sum())
     if abs(total) <= 1e-9 * float(np.abs(gamma).sum()):
         raise UndefinedFarField("total strength cancels; far field decays faster than 1/r")
-    center = center_of_vorticity(positions, gamma).value
-    diameter = float(
-        max(np.abs(positions[:, None] - positions[None, :]).max(), 0.0)
-    )
-    if radius < 3.0 * diameter:
-        raise ValueError(
-            f"radius {radius} is inside 3x the configuration diameter {diameter:.3g}"
-        )
-    angles = 2.0 * math.pi * np.arange(samples) / samples
-    probes = center + radius * np.exp(1j * angles)
-    v_conf = _field(probes, positions, gamma)
-    v_single = np.conj((total / (probes - center)) / (2.0j * math.pi))
+    points = points if isinstance(points, PointSet) else PointSet(positions)
+    center = center_of_vorticity(points, gamma).value
+    diameter = points.diameter()
+    if not 3.0 * diameter <= radius < math.inf:
+        raise ValueError(f"radius must be finite and at least 3x the configuration"
+                         f" diameter {diameter:.3g}, got {radius}")
+    angles = 2.0 * math.pi * np.arange(64) / 64
+    probes = (center + radius * np.exp(1j * angles))[:, None]
+    v_conf = _field_sum(probes - positions, gamma)
+    v_single = _field_sum(probes - center, np.array([total]))
     return float((np.abs(v_conf - v_single) / np.abs(v_single)).max())

@@ -9,6 +9,7 @@ reproduces the identical PointSet, bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class CurveSpec:
     samples: tuple = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
         if self.curve not in CURVES:
             raise ValueError(f"curve must be one of {CURVES}, got {self.curve!r}")
         if self.distribution not in CURVE_DISTRIBUTIONS:
@@ -77,8 +80,9 @@ class RegionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("region rectangle is empty")
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise ValueError(f"region rectangle is empty or not finite: {self}")
 
 
 def _retry(draw, what: str) -> PointSet:
@@ -123,8 +127,8 @@ def generate_circle(
     z_k = radius e^{i(2 pi k / n + phase)} or sorted uniform random angles."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (0.0 < radius < math.inf and math.isfinite(phase)):
+        raise ValueError(f"need a positive finite radius and a finite phase, got {radius}, {phase}")
     if distribution == "even":
         k = np.arange(n)
         return PointSet(radius * np.exp(1j * (2.0 * np.pi * k / n + phase)))

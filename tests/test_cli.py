@@ -157,6 +157,24 @@ class TestGenerate:
         assert code == EXIT_GENERATION
         assert "generation failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, err", [
+        (["--circle", "--radius", "inf"], "need a positive finite radius and a finite phase,"
+                                          " got inf, 0.0"),
+        (["--circle", "--phase", "nan"], "need a positive finite radius and a finite phase,"
+                                         " got 1.0, nan"),
+        (["--curve", "flower", "--phase", "inf"], "phase must be finite, got inf"),
+        (["--curve", "figure_eight", "--random", "--phase", "nan"],
+         "phase must be finite, got nan"),
+        (["--plane", "--bounds", "0", "inf", "0", "1"],
+         "region rectangle is empty or not finite:"
+         " RegionSpec(x_min=0.0, x_max=inf, y_min=0.0, y_max=1.0, seed=0)"),
+    ], ids=["circle-radius", "circle-phase", "curve-phase", "random-curve-phase", "plane-bounds"])
+    def test_non_finite_parameter_exits_3_with_one_line(self, capsys, args, err):
+        assert main(["generate", *args, "--n", "5"]) == EXIT_GENERATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: generation failed: {err}\n"
+        assert captured.out == ""
+
     def test_empty_region_exits_3(self, capsys):
         code = main(["generate", "--plane", "--n", "5",
                      "--bounds", "1", "-1", "0", "1"])
@@ -377,6 +395,8 @@ class TestOutOfRangeArguments:
     @pytest.mark.parametrize("args", [
         ["field", "--nx", "1"],
         ["field", "--window", "1", "0", "0", "1"],
+        ["field", "--window", "0", "inf", "-1", "1"],
+        ["field", "--window", "0", "1", "nan", "1"],
         ["solve", "--tol", "2"],
         ["verify", "--dt", "0"],
         ["orbit", "--gamma", "1", "1", "--r0", "-1"],

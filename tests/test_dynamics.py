@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stillflow import (
@@ -71,6 +71,16 @@ def reference_integrate(z, gamma, t_final, dt, delta_min=1e-9):
         times.append(t)
         history.append(z.copy())
     return np.asarray(times), np.asarray(history), tuple(events)
+
+
+def reference_point_velocities(z, gamma):
+    """Every point's velocity with its own term zeroed after the division:
+    the oracle for point_velocities, whose infinite diagonal drops it."""
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    terms = gamma[None, :] / diff
+    np.fill_diagonal(terms, 0.0)
+    return np.conj(terms.sum(axis=1) / (2.0j * math.pi))
 
 
 def reference_tracer(p, t_final, dt=1e-4):
@@ -282,6 +292,27 @@ class TestPointVelocities:
     def test_single_point_is_still(self):
         v = point_velocities([0j], [1 + 0j])
         assert v.shape == (1,) and v[0] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.9, 1.0]),
+           st.booleans())
+    @example(2, 0, 0.5, True)
+    def test_mostly_zero_strengths_match_zeroed_diagonal(self, n, seed, zero_share, lattice):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            # integer points and strength parts in {-1, -0, 0, 1}: many terms
+            # are exact zeros of either sign
+            z = np.unique(rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n))
+            assume(z.size >= 2)
+            parts = np.array([-1.0, -0.0, 0.0, 1.0])
+            g = np.empty(z.size, dtype=complex)
+            g.real, g.imag = parts[rng.integers(0, 4, (2, z.size))]
+        else:
+            z = random_points(rng, n, min_gap=1e-3)
+            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g[rng.random(z.size) < zero_share] = 0.0
+        v = point_velocities(z, g)
+        assert v.tobytes() == reference_point_velocities(z, g).tobytes()
 
     def test_pair_moves_perpendicular_to_separation(self):
         v = point_velocities([(-1 + 0j), (1 + 0j)], [4 * np.pi, 4 * np.pi])

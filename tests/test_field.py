@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stillflow import (
@@ -42,6 +42,110 @@ def unchunked_grid(points, strengths, window, nx, ny):
     vel = np.conj((gamma / diff).sum(axis=-1) / (2.0j * math.pi))
     vel[singular] = 0.0
     return xs, ys, vel, singular
+
+
+def reference_field(z, positions, gamma):
+    """The field at probes z as one array expression: the oracle for the
+    sum that velocity_at, trace_streamline and far_field_deviation share."""
+    probes = np.asarray(z, dtype=np.complex128)
+    diff = probes[..., None] - positions
+    return np.conj((gamma / diff).sum(axis=-1) / (2.0j * math.pi))
+
+
+def reference_single(probes, center, total):
+    """The field of one singularity of strength total at center."""
+    return np.conj((total / (probes - center)) / (2.0j * math.pi))
+
+
+def reference_velocity_at(positions, gamma, probe):
+    """velocity_at's value as bytes, or "singular" inside the floor."""
+    if np.abs(probe - positions).min() < FLOOR:
+        return "singular"
+    return np.complex128(reference_field(complex(probe), positions, gamma)).tobytes()
+
+
+def reference_streamline(positions, gamma, start, step, max_steps, window):
+    """trace_streamline's vertices as bytes and its termination for a
+    positive step, with the field from reference_field at every stage."""
+    approach = max(10.0 * FLOOR, step)
+    scale = float(np.abs(gamma).max())
+
+    def direction(z):
+        v = complex(reference_field(z, positions, gamma))
+        speed = abs(v)
+        if speed <= 1e-12 * max(scale, 1.0):
+            return None
+        return v / speed
+
+    z = complex(start)
+    if float(np.abs(z - positions).min()) < FLOOR:
+        return "singular"
+    vertices = [z]
+    terminated = "step_limit"
+    for _ in range(max_steps):
+        if float(np.abs(z - positions).min()) < approach:
+            terminated = "singularity_approach"
+            break
+        if not window.contains(z):
+            terminated = "window_exit"
+            break
+        d1 = direction(z)
+        if d1 is None:
+            terminated = "stagnation"
+            break
+        d2 = direction(z + 0.5 * step * d1)
+        d3 = direction(z + 0.5 * step * d2) if d2 is not None else None
+        d4 = direction(z + step * d3) if d3 is not None else None
+        if d2 is None or d3 is None or d4 is None:
+            terminated = "stagnation"
+            break
+        z = z + (step / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        vertices.append(z)
+    return np.asarray(vertices, dtype=np.complex128).tobytes(), terminated
+
+
+def reference_far_field(positions, gamma, radius):
+    """far_field_deviation from reference_field and reference_single."""
+    total = complex(gamma.sum())
+    if abs(total) <= 1e-9 * float(np.abs(gamma).sum()):
+        return "undefined"
+    center = complex((gamma * positions).sum()) / total
+    probes = center + radius * np.exp(1j * (2.0 * math.pi * np.arange(64) / 64))
+    v_conf = reference_field(probes, positions, gamma)
+    v_single = reference_single(probes, center, total)
+    return float((np.abs(v_conf - v_single) / np.abs(v_single)).max())
+
+
+def field_outcome(run):
+    """What a field call returned, in the form the references give."""
+    try:
+        out = run()
+    except SingularPoint:
+        return "singular"
+    except UndefinedFarField:
+        return "undefined"
+    if isinstance(out, complex):
+        return np.complex128(out).tobytes()
+    if isinstance(out, float):
+        return out
+    return out.vertices.tobytes(), out.terminated_by
+
+
+@st.composite
+def probe_cases(draw):
+    """(points, strengths, probe) from one point up; some strengths cancel
+    in part and some probes sit just outside (or just inside) the floor."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cancel = draw(st.sampled_from([0.0, 0.5, 0.999, 1.0 - 1e-7, 1.0]))
+    g = g - cancel * g.mean()
+    probe = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+    offset = draw(st.sampled_from([None, 0.999e-9, 1.001e-9, 1.1e-9, 1e-6]))
+    if offset is not None:
+        probe = z[draw(st.integers(0, n - 1))] + offset * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return z, g, probe
 
 
 GRID_WINDOW = Window(-1.0, 1.0, -1.0, 1.0)
@@ -196,6 +300,14 @@ class TestDefaultWindow:
         assert not w.contains(1.5 + 0j)
         assert not w.contains(3j)
 
+    @pytest.mark.parametrize("bounds", [
+        (0.0, np.inf, -1.0, 1.0), (-np.inf, 0.0, -1.0, 1.0), (0.0, 1.0, -1.0, np.inf),
+        (np.nan, 1.0, -1.0, 1.0), (0.0, 1.0, -np.inf, np.inf),
+    ])
+    def test_window_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="not finite"):
+            Window(*bounds)
+
 
 class TestStreamlines:
     def test_vortex_orbit_stays_circular(self):
@@ -238,6 +350,28 @@ class TestStreamlines:
         assert line.terminated_by == "step_limit"
         assert len(line.vertices) == 11
 
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_stagnation_below_1e_12_of_the_largest_strength(self, scale):
+        # between equal vortices at -1 and 1 the speed at a small x is 2x
+        # times the strength over 2 pi
+        z, g = [-1 + 0j, 1 + 0j], [scale * TWO_PI + 0j] * 2
+        still = trace_streamline(z, g, 2e-12 + 0j, max_steps=1)
+        moving = trace_streamline(z, g, 1e-11 + 0j, max_steps=1)
+        assert still.terminated_by == "stagnation" and len(still.vertices) == 1
+        assert moving.terminated_by == "step_limit" and len(moving.vertices) == 2
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_zero_or_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="step must be finite and nonzero"):
+            trace_streamline([0j], [TWO_PI + 0j], 1 + 0j, step=step)
+
+    def test_negative_step_runs_upstream_into_a_source(self):
+        line = trace_streamline([0j], [TWO_PI * 1j], 0.5 + 0j, step=-1e-2)
+        assert line.terminated_by == "singularity_approach"
+        assert np.all(np.diff(np.abs(line.vertices)) < 0)
+        # the approach distance is |step|, so the last vertex stays outside it
+        assert 1e-2 - 1e-12 <= np.abs(line.vertices[-2]) and np.abs(line.vertices[-1]) < 1e-2
+
 
 class TestFarField:
     def test_relative_deviation_quarters_when_radius_doubles(self):
@@ -260,8 +394,65 @@ class TestFarField:
         with pytest.raises(ValueError):
             far_field_deviation(ps, sv, 2.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        ps = PointSet([0j, 0.5 + 0j, 1 + 0j])
+        with pytest.raises(ValueError, match="radius must be finite"):
+            far_field_deviation(ps, StrengthVector([1, -0.5, 1]), radius)
+
+    def test_uses_the_floor_of_the_given_point_set(self):
+        # a pair 1e-10 apart: valid above its own floor, not above the default
+        ps = PointSet([0j, 1e-10 + 0j, 1 + 0j, 2j], delta_min=1e-12)
+        g = np.array([1, 0.5, -0.25, 1j])
+        assert far_field_deviation(ps, g, 20.0) == reference_far_field(ps.positions, g, 20.0)
+
     def test_cancelling_total_has_no_far_field(self):
         z = np.exp(2j * np.pi * np.arange(7) / 7)
         sol = solve_strengths(PointSet(z))
         with pytest.raises(UndefinedFarField):
             far_field_deviation(PointSet(z), sol.strengths, 50.0)
+
+
+class TestFieldOracle:
+    """velocity_at, trace_streamline and far_field_deviation against the
+    field expressions they were first written with, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(probe_cases())
+    @example((np.array([0j]), np.array([TWO_PI + 0j]), 1.001e-9 + 0j))
+    def test_velocity_at(self, case):
+        z, g, probe = case
+        assert field_outcome(lambda: velocity_at(z, g, probe)) == \
+            reference_velocity_at(z, g, probe)
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_cases(), st.sampled_from([1e-2, 3e-2, 0.2]))
+    def test_trace_streamline(self, case, step):
+        z, g, start = case
+        window = default_window(z)
+        got = field_outcome(lambda: trace_streamline(z, g, start, step=step, max_steps=300,
+                                                     window=window))
+        assert got == reference_streamline(z, g, start, step, 300, window)
+
+    @pytest.mark.parametrize("z, g, start, terminated", [
+        ([0j], [TWO_PI + 0j], 0.3 + 0j, "step_limit"),
+        ([0j], [TWO_PI * 1j], 0.1 + 0j, "window_exit"),
+        ([0j], [-TWO_PI * 1j], 0.055 + 0j, "singularity_approach"),
+        ([-1 + 0j, 1 + 0j], [TWO_PI + 0j, TWO_PI + 0j], 0j, "stagnation"),
+    ])
+    def test_each_termination(self, z, g, start, terminated):
+        z, g = np.array(z), np.array(g)
+        window = default_window(z)
+        got = field_outcome(lambda: trace_streamline(z, g, start, step=1e-2, max_steps=300,
+                                                     window=window))
+        assert got == reference_streamline(z, g, start, 1e-2, 300, window)
+        assert got[1] == terminated
+
+    @settings(max_examples=150, deadline=None)
+    @given(probe_cases(), st.floats(3.0, 50.0))
+    def test_far_field_deviation(self, case, factor):
+        z, g, _ = case
+        assume(z.size >= 2)
+        radius = factor * float(np.abs(z[:, None] - z).max())
+        assert field_outcome(lambda: far_field_deviation(z, g, radius)) == \
+            reference_far_field(z, g, radius)

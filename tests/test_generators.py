@@ -83,6 +83,14 @@ class TestCircle:
         d = np.abs(ps.positions - np.roll(ps.positions, 1))
         assert np.allclose(d, np.sqrt(3), atol=1e-12)
 
+    @pytest.mark.parametrize("distribution", ["even", "random"])
+    @pytest.mark.parametrize("radius, phase", [
+        (np.inf, 0.0), (np.nan, 0.0), (0.0, 0.0), (1.0, np.inf), (1.0, -np.inf), (1.0, np.nan),
+    ])
+    def test_rejects_non_finite_or_nonpositive_parameters(self, distribution, radius, phase):
+        with pytest.raises(ValueError, match="positive finite radius"):
+            generate_circle(5, distribution, radius=radius, phase=phase, seed=1)
+
 
 class TestCurveSpec:
     def test_flower_radius(self):
@@ -98,6 +106,11 @@ class TestCurveSpec:
     def test_custom_requires_samples(self):
         with pytest.raises(ValueError):
             CurveSpec("custom")
+
+    @pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_phase(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            CurveSpec("flower", phase=phase)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
@@ -212,6 +225,13 @@ class TestRandomPlane:
     def test_rejects_empty_region(self):
         with pytest.raises(ValueError):
             RegionSpec(1.0, -1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, np.inf, 0.0, 1.0), (-np.inf, 0.0, 0.0, 1.0), (0.0, 1.0, np.nan, 1.0),
+    ])
+    def test_rejects_non_finite_region(self, bounds):
+        with pytest.raises(ValueError, match="not finite"):
+            RegionSpec(*bounds)
 
     def test_odd_draws_solve(self):
         region = RegionSpec(-1.0, 1.0, -1.0, 1.0, seed=12)
