@@ -25,22 +25,9 @@ from .core import (
 )
 from .errors import DegenerateConfiguration, NoEquilibrium, ZeroStrengths
 
-#: Every classification the decision table can produce. Real strength is
-#: circulation (counterclockwise when positive), imaginary strength is
-#: volume flux (outward when positive); mixtures spiral.
-KINDS = (
-    "vortex_ccw",
-    "vortex_cw",
-    "source",
-    "sink",
-    "spiral_source_ccw",
-    "spiral_source_cw",
-    "spiral_sink_ccw",
-    "spiral_sink_cw",
-    "null",
-)
-
 LEAD_TOL = 1e-8
+CLASS_TOL = 1e-6
+CENTER_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +74,13 @@ class CenterOfVorticity:
     moment: complex
 
 
-def normalize_leading(values, tol: float = LEAD_TOL) -> StrengthVector:
-    """Rescale so the first entry with |value| > tol * max|value| is 1+0i."""
+def normalize_leading(values) -> StrengthVector:
+    """Rescale so the first entry with |value| > LEAD_TOL * max|value| is 1+0i."""
     arr = as_strength_values(values)
     peak = float(np.abs(arr).max())
     if peak == 0.0:
         raise ZeroStrengths("cannot normalize an all-zero strength vector")
-    lead = int(np.argmax(np.abs(arr) > tol * peak))
+    lead = int(np.argmax(np.abs(arr) > LEAD_TOL * peak))
     return StrengthVector(arr / arr[lead])
 
 
@@ -196,8 +183,8 @@ def triangle_eigenvalues(z: complex) -> linalg.EigenResult:
     return linalg.EigenResult(out)
 
 
-def _classify(s: complex, scale: float, tol: float) -> str:
-    cut = tol * scale
+def _classify(s: complex, scale: float) -> str:
+    cut = CLASS_TOL * scale
     re, im = s.real, s.imag
     if abs(s) <= cut:
         return "null"
@@ -210,33 +197,34 @@ def _classify(s: complex, scale: float, tol: float) -> str:
     return f"spiral_{radial}_{turn}"
 
 
-def classify_singularity(gamma: complex, tol: float = 1e-6) -> str:
-    """Flow kind at a single singularity from the sign pattern of its strength."""
+def classify_singularity(gamma: complex) -> str:
+    """Flow kind at a single singularity from the sign pattern of its
+    strength; a component at most CLASS_TOL * |gamma| counts as zero."""
     gamma = complex(gamma)
-    return _classify(gamma, abs(gamma), tol)
+    return _classify(gamma, abs(gamma))
 
 
-def classify_far_field(strengths, tol: float = 1e-6) -> FarFieldClass:
+def classify_far_field(strengths) -> FarFieldClass:
     """Classify the aggregate far field of a strength vector.
 
     Far from the configuration the flow looks like one singularity of
     strength s = sum(Gamma); the decision table is the same as for a
-    single point, with the tolerance scaled by the largest |Gamma| so the
-    classification is scale-free. s below tolerance reports kind "null"
+    single point, with the tolerance CLASS_TOL scaled by the largest |Gamma|
+    so the classification is scale-free. s below it reports kind "null"
     (the far field decays faster than a single singularity's).
     """
     arr = as_strength_values(strengths)
     s = complex(arr.sum())
     scale = float(np.abs(arr).max()) if arr.size else 0.0
-    return FarFieldClass(s, _classify(s, scale, tol))
+    return FarFieldClass(s, _classify(s, scale))
 
 
-def center_of_vorticity(points, strengths, tol: float = 1e-9) -> CenterOfVorticity:
+def center_of_vorticity(points, strengths) -> CenterOfVorticity:
     """Strength-weighted centroid sum(Gamma z) / sum(Gamma).
 
-    When the total strength cancels below tol * sum|Gamma| the center is
-    undefined (defined=False, value=None); the raw moment sum(Gamma z) is
-    reported either way.
+    When the total strength cancels below CENTER_TOL * sum|Gamma| the
+    center is undefined (defined=False, value=None); the raw moment
+    sum(Gamma z) is reported either way.
     """
     z = points.positions if isinstance(points, PointSet) else PointSet(points).positions
     gamma = as_strength_values(strengths)
@@ -244,6 +232,6 @@ def center_of_vorticity(points, strengths, tol: float = 1e-9) -> CenterOfVortici
         raise ValueError(f"{z.size} points but {gamma.size} strengths")
     moment = complex((gamma * z).sum())
     total = complex(gamma.sum())
-    if abs(total) <= tol * float(np.abs(gamma).sum()):
+    if abs(total) <= CENTER_TOL * float(np.abs(gamma).sum()):
         return CenterOfVorticity(None, False, moment)
     return CenterOfVorticity(moment / total, True, moment)

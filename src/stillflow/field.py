@@ -26,8 +26,6 @@ from .core import (
 from .equilibrium import center_of_vorticity
 from .errors import SingularPoint, UndefinedFarField
 
-TERMINATIONS = ("step_limit", "window_exit", "singularity_approach", "stagnation")
-
 #: Node-point terms per block of the lattice in velocity_grid: 2**16
 #: complex elements, 1 MB per temporary.
 _BLOCK_ELEMENTS = 1 << 16

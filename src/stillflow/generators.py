@@ -3,7 +3,7 @@
 Lines, circles, polar curves (four-petal flower r = cos 2theta and figure
 eight r = cos^2 theta), and uniform rectangles. All randomness goes through
 numpy's default PCG64 generator so a (generator, n, seed) triple always
-reproduces the identical PointSet, bit for bit.
+reproduces the identical PointSet, bit for bit; n runs from 2 to MAX_POINTS.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ ARCLENGTH_SAMPLES = 100_000
 #: Redraw attempts for random placements before giving up.
 RETRY_CAP = 50
 
-CURVES = ("flower", "figure_eight", "custom")
+#: Most points a generator places, checked before anything is allocated:
+#: PointSet's separation check builds N x N arrays of about 24 N^2 bytes.
+MAX_POINTS = 10_000
+
+CURVES = ("flower", "figure_eight")
 CURVE_DISTRIBUTIONS = ("even_arclength", "even_parameter", "random_parameter")
 
 
@@ -32,14 +36,12 @@ class CurveSpec:
     """A polar curve z = r(theta) e^{i(theta + phase)} plus placement rule.
 
     Negative radius reflects through the origin (signed-radius convention),
-    which is what draws all four petals of the flower. A custom curve is a
-    finite (theta, r) table covering [0, 2pi], interpolated linearly.
+    which is what draws all four petals of the flower.
     """
 
     curve: str
     distribution: str = "even_arclength"
     phase: float = 0.0
-    samples: tuple = ()
 
     def __post_init__(self):
         if not math.isfinite(self.phase):
@@ -50,23 +52,12 @@ class CurveSpec:
             raise ValueError(
                 f"distribution must be one of {CURVE_DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        if self.curve == "custom":
-            table = np.asarray(self.samples, dtype=np.float64)
-            if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
-                raise ValueError("custom curve needs a table of (theta, r) rows")
-            if np.any(np.diff(table[:, 0]) <= 0.0):
-                raise ValueError("custom curve thetas must be strictly increasing")
-            if table[0, 0] > 0.0 or table[-1, 0] < 2.0 * np.pi:
-                raise ValueError("custom curve must cover [0, 2pi]")
 
     def radius_at(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if self.curve == "flower":
             return np.cos(2.0 * theta)
-        if self.curve == "figure_eight":
-            return np.cos(theta) ** 2
-        table = np.asarray(self.samples, dtype=np.float64)
-        return np.interp(theta, table[:, 0], table[:, 1])
+        return np.cos(theta) ** 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +76,13 @@ class RegionSpec:
             raise ValueError(f"region rectangle is empty or not finite: {self}")
 
 
+def _check_count(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if n > MAX_POINTS:
+        raise ValueError(f"need n <= {MAX_POINTS}, got {n}")
+
+
 def _retry(draw, what: str) -> PointSet:
     last = None
     for _ in range(RETRY_CAP):
@@ -101,8 +99,7 @@ def generate_collinear(n: int, distribution: str = "even", seed: int | None = No
     even: the uniform grid k/(n-1). random: endpoints pinned at 0 and 1
     with n-2 sorted uniform interior draws.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_count(n)
     if distribution == "even":
         return PointSet(np.linspace(0.0, 1.0, n).astype(np.complex128))
     if distribution != "random":
@@ -125,8 +122,7 @@ def generate_circle(
 ) -> PointSet:
     """Points on a circle, either the n-th roots of unity pattern
     z_k = radius e^{i(2 pi k / n + phase)} or sorted uniform random angles."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_count(n)
     if not (0.0 < radius < math.inf and math.isfinite(phase)):
         raise ValueError(f"need a positive finite radius and a finite phase, got {radius}, {phase}")
     if distribution == "even":
@@ -143,50 +139,35 @@ def generate_circle(
     return _retry(draw, f"circle n={n}")
 
 
-def _arclength_table(spec: CurveSpec):
+@functools.cache
+def _arclength_table(curve: str):
     """Cumulative arclength s(theta) on a dense uniform grid, by the
     trapezoid rule on the polar speed sqrt(r'^2 + r^2).
 
-    The table depends on the curve alone, not on the phase, n or seed. A
-    built-in curve's table is computed once per process and its arrays are
-    read-only; a custom curve's table is computed on every call, so that
-    user tables are never held.
+    The table depends on the curve alone (not the phase, n or seed), so it
+    is computed once per process, and its arrays are read-only.
     """
-    if spec.curve == "custom":
-        return _trapezoid_arclength(spec.radius_at)
-    return _builtin_arclength_table(spec.curve)
-
-
-@functools.cache
-def _builtin_arclength_table(curve: str):
-    theta, s = _trapezoid_arclength(CurveSpec(curve).radius_at)
-    theta.flags.writeable = False
-    s.flags.writeable = False
-    return theta, s
-
-
-def _trapezoid_arclength(radius_at):
     theta = np.linspace(0.0, 2.0 * np.pi, ARCLENGTH_SAMPLES + 1)
-    r = radius_at(theta)
+    r = CurveSpec(curve).radius_at(theta)
     dr = np.gradient(r, theta)
     speed = np.hypot(dr, r)
     ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(theta)
     s = np.concatenate([[0.0], np.cumsum(ds)])
+    theta.flags.writeable = False
+    s.flags.writeable = False
     return theta, s
 
 
 def generate_polar_curve(spec: CurveSpec, n: int, seed: int | None = None) -> PointSet:
     """Points on a polar curve, placed according to spec.distribution.
 
-    even_arclength inverts the cumulative arclength table at equal
-    increments (a built-in curve's table is computed once per process and
-    reused); even_parameter takes theta_k = 2 pi k / n; random_parameter
+    even_arclength inverts the curve's cumulative arclength table at equal
+    increments; even_parameter takes theta_k = 2 pi k / n; random_parameter
     draws sorted uniform thetas. Placements whose points collide (curves
     pass through the origin) raise DegenerateConfiguration; random draws
     are retried first.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_count(n)
 
     def place(theta):
         return spec.radius_at(theta) * np.exp(1j * (theta + spec.phase))
@@ -195,7 +176,7 @@ def generate_polar_curve(spec: CurveSpec, n: int, seed: int | None = None) -> Po
         theta = 2.0 * np.pi * np.arange(n) / n
         return PointSet(place(theta))
     if spec.distribution == "even_arclength":
-        grid, s = _arclength_table(spec)
+        grid, s = _arclength_table(spec.curve)
         targets = s[-1] * np.arange(n) / n
         theta = np.interp(targets, s, grid)
         return PointSet(place(theta))
@@ -209,8 +190,7 @@ def generate_polar_curve(spec: CurveSpec, n: int, seed: int | None = None) -> Po
 
 def generate_random_plane(n: int, region: RegionSpec) -> PointSet:
     """Independent uniform draws over the region's rectangle."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_count(n)
     rng = np.random.default_rng(region.seed)
 
     def draw():

@@ -23,6 +23,9 @@ import numpy as np
 from .core import ComplexArray, ConfigurationMatrix, FloatArray
 from .errors import ConvergenceFailure, OddDimension
 
+ZERO_EIG_TOL = 1e-8
+PF_DET_TOL = 1e-8
+
 
 def _as_square(a, name: str = "matrix") -> ComplexArray:
     m = a.entries if isinstance(a, ConfigurationMatrix) else np.asarray(a, dtype=np.complex128)
@@ -137,9 +140,7 @@ def eigenvalues(a) -> EigenResult:
     """
     m = _as_square(a)
     n = m.shape[0]
-    if n == 1:
-        lam = np.array([m[0, 0]])
-    elif n == 2 and _is_exactly_skew(m):
+    if n == 2 and _is_exactly_skew(m):
         root = 1j * m[0, 1]
         lam = np.array([root, -root])
     elif n == 3 and _is_exactly_skew(m):
@@ -152,8 +153,8 @@ def eigenvalues(a) -> EigenResult:
     return EigenResult(_readonly(lam[order]))
 
 
-def zero_eigenvalue_multiplicity(a, rel_tol: float = 1e-8) -> int:
-    """Count eigenvalues of magnitude at most rel_tol * ||A||_F * n.
+def zero_eigenvalue_multiplicity(a) -> int:
+    """Count eigenvalues of magnitude at most ZERO_EIG_TOL * ||A||_F * n.
 
     The cutoff is relative to the matrix scale rather than to max |lambda|:
     a defective matrix can have every eigenvalue collapsed near zero, and a
@@ -162,7 +163,7 @@ def zero_eigenvalue_multiplicity(a, rel_tol: float = 1e-8) -> int:
     m = _as_square(a)
     lam = eigenvalues(m).lambdas
     scale = float(np.linalg.norm(m, "fro"))
-    return int(np.count_nonzero(np.abs(lam) <= rel_tol * scale * m.shape[0]))
+    return int(np.count_nonzero(np.abs(lam) <= ZERO_EIG_TOL * scale * m.shape[0]))
 
 
 #: Largest x whose exponential is a finite double.
@@ -277,11 +278,11 @@ class PfaffianCheck:
     log_abs_determinant: float
 
 
-def pfaffian_determinant_check(a, rel_tol: float = 1e-8) -> PfaffianCheck:
+def pfaffian_determinant_check(a) -> PfaffianCheck:
     """Verify Pf(A)^2 = det(A) on two independent computational routes.
 
     The Pfaffian comes from the Householder reduction, the determinant from
-    LU (numpy's slogdet). consistent means |Pf^2 - det| <= rel_tol *
+    LU (numpy's slogdet). consistent means |Pf^2 - det| <= PF_DET_TOL *
     max(|Pf|^2, |det|), decided from the phases and the logarithms of the
     moduli, so it holds where Pf^2 or det overflow a double.
     """
@@ -296,6 +297,6 @@ def pfaffian_determinant_check(a, rel_tol: float = 1e-8) -> PfaffianCheck:
         # w = phase(Pf)^2 / phase(det), whichever side is larger
         gap = 2.0 * pf_log - float(det_log)
         w = pf_phase**2 * complex(det_phase).conjugate()
-        consistent = abs(1.0 - math.exp(-abs(gap)) * w) <= rel_tol
+        consistent = abs(1.0 - math.exp(-abs(gap)) * w) <= PF_DET_TOL
     return PfaffianCheck(_pfaffian_value(det_q, factors), _from_polar(det_phase, det_log),
                          bool(consistent), pf_log, float(det_log))

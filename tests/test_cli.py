@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from stillflow import FieldGrid, Window, cli, core, single_orbit, velocity_grid
+from stillflow.generators import MAX_POINTS
 from stillflow.cli import (
     EXIT_COLLISION,
     EXIT_GENERATION,
@@ -173,6 +174,16 @@ class TestGenerate:
         assert main(["generate", *args, "--n", "5"]) == EXIT_GENERATION
         captured = capsys.readouterr()
         assert captured.err == f"error: generation failed: {err}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("source", [
+        ["--line"], ["--circle"], ["--curve", "flower"], ["--plane"],
+    ], ids=["line", "circle", "curve", "plane"])
+    def test_too_many_points_exits_3_with_one_line(self, capsys, source):
+        assert main(["generate", *source, "--n", "100000000000"]) == EXIT_GENERATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: generation failed: need n <= {MAX_POINTS}, got 100000000000\n")
         assert captured.out == ""
 
     def test_empty_region_exits_3(self, capsys):

@@ -14,7 +14,7 @@ from stillflow import (
     solve_strengths,
 )
 from stillflow import generators
-from stillflow.generators import ARCLENGTH_SAMPLES, _arclength_table
+from stillflow.generators import ARCLENGTH_SAMPLES, MAX_POINTS, _arclength_table
 
 
 def arclength_placement(spec, n, samples=ARCLENGTH_SAMPLES):
@@ -103,10 +103,6 @@ class TestCurveSpec:
         assert spec.radius_at(np.array([0.0]))[0] == pytest.approx(1.0)
         assert spec.radius_at(np.array([np.pi / 3]))[0] == pytest.approx(0.25)
 
-    def test_custom_requires_samples(self):
-        with pytest.raises(ValueError):
-            CurveSpec("custom")
-
     @pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_phase(self, phase):
         with pytest.raises(ValueError, match="phase must be finite"):
@@ -160,13 +156,6 @@ class TestPolarCurve:
         spun = generate_polar_curve(CurveSpec("figure_eight", phase=0.7), 5)
         assert np.abs(spun.positions - base.positions * np.exp(0.7j)).max() <= 1e-9
 
-    def test_custom_table_circle(self):
-        theta = np.linspace(0, 2 * np.pi, 361)
-        spec = CurveSpec("custom", samples=np.column_stack(
-            [theta, np.ones_like(theta)]))
-        ps = generate_polar_curve(spec, 6)
-        assert np.allclose(np.abs(ps.positions), 1.0, atol=1e-6)
-
 
 class TestArclengthTable:
     @pytest.mark.parametrize("curve", ["flower", "figure_eight"])
@@ -178,17 +167,23 @@ class TestArclengthTable:
                 assert got.tobytes() == arclength_placement(spec, n).tobytes()
 
     def test_builtin_table_computed_once_and_read_only(self, monkeypatch):
+        # every table is built on one np.linspace call, so counting those
+        # counts the computations behind the cache
         computed = []
-        compute = generators._trapezoid_arclength
+        linspace = np.linspace
 
-        def counted(radius_at):
-            computed.append(radius_at)
-            return compute(radius_at)
+        def counted(*args, **kwargs):
+            computed.append(args)
+            return linspace(*args, **kwargs)
 
-        monkeypatch.setattr(generators, "_trapezoid_arclength", counted)
-        generators._builtin_arclength_table.cache_clear()
+        monkeypatch.setattr(np, "linspace", counted)
+        _arclength_table.cache_clear()
         for curve in ("flower", "figure_eight"):
-            tables = [_arclength_table(CurveSpec(curve, phase=phase)) for phase in (0.0, 1.0)]
+            tables = []
+            for phase in (0.0, 1.0):
+                spec = CurveSpec(curve, phase=phase)
+                generate_polar_curve(spec, 7)
+                tables.append(_arclength_table(spec.curve))
             for n in (7, 21):
                 generate_polar_curve(CurveSpec(curve, phase=0.5), n)
             assert all(a is b for a, b in zip(*tables))
@@ -197,16 +192,50 @@ class TestArclengthTable:
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
         assert len(computed) == 2
-        assert generators._builtin_arclength_table.cache_info().currsize == 2
+        assert _arclength_table.cache_info().currsize == 2
 
-    def test_custom_tables_give_their_own_placements(self):
-        theta = np.linspace(0, 2 * np.pi, 361)
-        specs = [CurveSpec("custom", samples=np.column_stack([theta, r]))
-                 for r in (np.ones_like(theta), 1.0 + 0.5 * np.cos(theta) ** 2)]
-        got = [generate_polar_curve(spec, 7).positions for spec in specs]
-        for spec, positions in zip(specs, got):
-            assert positions.tobytes() == arclength_placement(spec, 7).tobytes()
-        assert np.abs(got[0] - got[1]).max() > 0.1
+
+def all_generators(n):
+    """One call of every generator and placement rule at n points."""
+    region = RegionSpec(-1.0, 1.0, -1.0, 1.0, seed=3)
+    return [
+        lambda: generate_collinear(n),
+        lambda: generate_collinear(n, distribution="random", seed=1),
+        lambda: generate_circle(n),
+        lambda: generate_circle(n, distribution="random", seed=1),
+        *[lambda dist=dist: generate_polar_curve(CurveSpec("flower", dist), n, seed=1)
+          for dist in ("even_arclength", "even_parameter", "random_parameter")],
+        lambda: generate_random_plane(n, region),
+    ]
+
+
+class TestPointCount:
+    @pytest.mark.parametrize("n", [MAX_POINTS + 1, 10**11])
+    def test_too_many_points_rejected_before_allocating(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the point count was checked")
+
+        _arclength_table.cache_clear()
+        for name in ("linspace", "arange"):
+            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for generate in all_generators(n):
+            with pytest.raises(ValueError, match=f"need n <= {MAX_POINTS}, got {n}"):
+                generate()
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_too_few_points_rejected(self, n):
+        for generate in all_generators(n):
+            with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+                generate()
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_POINTS", 5)
+        for generate in all_generators(5):
+            assert generate().n == 5
+        for generate in all_generators(6):
+            with pytest.raises(ValueError, match="need n <= 5, got 6"):
+                generate()
 
 
 class TestRandomPlane:

@@ -183,6 +183,10 @@ class TestNullspace:
 
 
 class TestEigenvalues:
+    def test_one_by_one_is_its_entry(self):
+        for value in (2.0 - 1.0j, 0j, -3.5e4 + 0j):
+            assert eigenvalues(np.array([[value]])).lambdas.tolist() == [value]
+
     def test_pair_spectrum(self):
         for d in (0.5, 1.0, 2.0):
             lam = eigenvalues(build_matrix([0j, d + 0j]).entries).lambdas
