@@ -11,7 +11,10 @@ approaches that of one singularity at the center of vorticity.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +30,83 @@ from .equilibrium import center_of_vorticity
 from .errors import SingularPoint, UndefinedFarField
 
 #: Node-point terms per block of the lattice in velocity_grid: 2**16
-#: complex elements, 1 MB per temporary.
+#: complex elements, 1 MB per temporary. With W shares, each share's
+#: block holds 2**16 // W terms.
 _BLOCK_ELEMENTS = 1 << 16
+
+#: Most nodes velocity_grid samples: 68 MB of returned arrays.
+MAX_GRID_NODES = 4_000_000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the most shares a lattice is split into."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(inbox) -> None:
+    """A worker thread's loop: run each share it is sent, report how it ended."""
+    while True:
+        share, k, done = inbox.get()
+        failure = None
+        try:
+            share()
+        except BaseException as exc:  # re-raised by the caller, in _Pool.run
+            failure = exc
+        # Hold nothing of a finished lattice while waiting for the next one;
+        # the share goes first, since the caller may return once it hears.
+        del share
+        done.put((k, failure))
+        del done, failure
+
+
+class _Pool:
+    """Daemon worker threads, started as lattices first need them and kept
+    for the life of the process."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        # A forked child has none of its parent's threads, and this lock may
+        # have been held by one of them when the fork happened.
+        self._lock = threading.Lock()
+        self._inboxes = []
+
+    def run(self, shares) -> None:
+        """Run shares[0] on the calling thread and each other share on a
+        worker. Once every share has finished, raise the failure of the
+        first share that failed."""
+        # queue is imported with the first pool that starts, not with the module
+        from queue import SimpleQueue
+
+        with self._lock:
+            while len(self._inboxes) < len(shares) - 1:
+                inbox = SimpleQueue()
+                threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
+                self._inboxes.append(inbox)
+            inboxes = self._inboxes[: len(shares) - 1]
+        # each call has its own done queue, so callers running at once can
+        # share the workers
+        done = SimpleQueue()
+        for k, (inbox, share) in enumerate(zip(inboxes, shares[1:]), 1):
+            inbox.put((share, k, done))
+        failures = [None] * len(shares)
+        try:
+            shares[0]()
+        except Exception as exc:
+            failures[0] = exc
+        for _ in shares[1:]:
+            k, failures[k] = done.get()
+        for failure in failures:
+            if failure is not None:
+                raise failure
+
+
+_POOL = _Pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL.reset)
 
 
 @dataclass(frozen=True)
@@ -134,36 +212,63 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
     flagged and given velocity zero so downstream consumers never see
     non-finite values.
 
-    The lattice is evaluated in blocks of whole nodes holding at most 2**16
-    node-point terms each, so no temporary exceeds 1 MB and the working
-    memory beyond the returned arrays stays under 6 MB (about 2 MB from
-    seven points up) whatever nx, ny and the number of points. Each node's
-    sum runs over the points in order, so the values do not depend on the
-    block size.
+    The lattice is evaluated in blocks of whole nodes. A lattice of two or
+    more blocks is split into W shares, W being the number of CPUs the
+    process may run on, but at most the number of blocks. The calling
+    thread runs one share and worker threads, started by the first such
+    lattice and kept for the process, run the others; numpy releases the
+    interpreter lock inside each block's sums. A share's blocks hold at
+    most 2**16 // W node-point terms (or one node, if a node has more), so
+    no temporary exceeds 1 MB, and the working memory beyond the returned
+    arrays stays under 6 MB (about 2 MB from seven points up) whatever nx,
+    ny and W, while a node has at most 2**16 // W terms. Each node's sum
+    runs over the points in order, so the values depend neither on the
+    block size nor on W: every grid is bit-identical to a one-thread sum.
+
+    Raises
+    ------
+    ValueError
+        If nx or ny is below 2, or the lattice has more than
+        MAX_GRID_NODES nodes; nothing is allocated first.
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")
+    if nx * ny > MAX_GRID_NODES:
+        raise ValueError(f"need nx * ny <= {MAX_GRID_NODES}, got {nx} * {ny}")
     positions, gamma, floor = _inputs(points, strengths)
     xs = np.linspace(window.x_min, window.x_max, nx)
     ys = np.linspace(window.y_min, window.y_max, ny)
     vel = np.empty((ny, nx), dtype=np.complex128)
     singular = np.zeros((ny, nx), dtype=bool)
     flat_vel, flat_singular = vel.reshape(-1), singular.reshape(-1)
-    block = max(1, _BLOCK_ELEMENTS // positions.size)
-    diff_buf = np.empty((block, positions.size), dtype=np.complex128)
-    dist_buf = np.empty((block, positions.size))
-    for lo in range(0, nx * ny, block):
-        hi = min(lo + block, nx * ny)
-        row, col = np.divmod(np.arange(lo, hi), nx)
-        nodes = xs[col] + 1j * ys[row]
-        diff = np.subtract(nodes[:, None], positions, out=diff_buf[: hi - lo])
-        dist = np.abs(diff, out=dist_buf[: hi - lo])
-        if dist.min() < floor:
-            hit = (dist < floor).any(axis=1)
-            flat_singular[lo:hi] = hit
-            # a unit difference keeps the discarded terms of flagged nodes finite
-            diff[hit] = 1.0
-        _field_sum(diff, gamma, out=flat_vel[lo:hi])
+    full_blocks = -(-nx * ny // max(1, _BLOCK_ELEMENTS // positions.size))
+    workers = min(_cpu_count(), full_blocks)
+    block = max(1, _BLOCK_ELEMENTS // workers // positions.size)
+    starts = range(0, nx * ny, block)
+
+    def share(starts, diff_buf, dist_buf):
+        for lo in starts:
+            hi = min(lo + block, nx * ny)
+            row, col = np.divmod(np.arange(lo, hi), nx)
+            nodes = xs[col] + 1j * ys[row]
+            diff = np.subtract(nodes[:, None], positions, out=diff_buf[: hi - lo])
+            dist = np.abs(diff, out=dist_buf[: hi - lo])
+            if dist.min() < floor:
+                hit = (dist < floor).any(axis=1)
+                flat_singular[lo:hi] = hit
+                # a unit difference keeps the discarded terms of flagged nodes finite
+                diff[hit] = 1.0
+            _field_sum(diff, gamma, out=flat_vel[lo:hi])
+
+    # every share's buffers are allocated here, before any share starts
+    shares = [partial(share, starts[k::workers],
+                      np.empty((block, positions.size), dtype=np.complex128),
+                      np.empty((block, positions.size)))
+              for k in range(workers)]
+    if workers == 1:
+        shares[0]()
+    else:
+        _POOL.run(shares)
     vel[singular] = 0.0
     for arr in (xs, ys, vel, singular):
         arr.setflags(write=False)

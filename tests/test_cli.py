@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stillflow import FieldGrid, Window, cli, core, single_orbit, velocity_grid
+from stillflow.field import MAX_GRID_NODES
 from stillflow.generators import MAX_POINTS
 from stillflow.cli import (
     EXIT_COLLISION,
@@ -317,6 +319,19 @@ class TestField:
         for r in rows:
             if r[4] == "1":
                 assert float(r[2]) == 0.0 and float(r[3]) == 0.0
+
+    def test_lattice_over_max_nodes_exits_2_before_allocating(self, tmp_path, capsys):
+        solved = solved_line(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main(["field", "--in", solved, "--nx", "100000", "--ny", "100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: need nx * ny <= {MAX_GRID_NODES}, got 100000 * 100000\n")
+        assert peak < 1_000_000
 
     def test_ortho_rotates_field(self, tmp_path):
         solved = solved_line(tmp_path)

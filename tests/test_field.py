@@ -1,7 +1,13 @@
 """Velocity sampling, streamlines, far-field comparison."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +27,8 @@ from stillflow import (
     velocity_at,
     velocity_grid,
 )
+from stillflow import field
+from stillflow.field import MAX_GRID_NODES
 
 from test_core import random_points
 
@@ -177,6 +185,19 @@ def lattices(draw):
     return z, g, nx, ny
 
 
+RING = (np.exp(2j * np.pi * np.arange(51) / 51), np.ones(51, complex))
+
+
+def pinned_ring(nx, ny, nodes):
+    """The 51-point ring with its first points moved onto the given nodes
+    of an nx-by-ny lattice over GRID_WINDOW."""
+    z, g = RING[0].copy(), RING[1]
+    for a, node in enumerate(nodes):
+        j, i = divmod(node, nx)
+        z[a] = lattice_node(nx, ny, i, j)
+    return z, g
+
+
 class TestVelocityAt:
     def test_unit_source_pushes_outward(self):
         v = velocity_at([0j], [TWO_PI * 1j], 1 + 0j)
@@ -282,6 +303,131 @@ class TestVelocityGrid:
         with pytest.raises(ValueError):
             velocity_grid([0j, 1 + 0j], [1 + 0j, 1 + 0j],
                           Window(-1.0, 1.0, -1.0, 1.0), nx=1, ny=3)
+
+    def test_rejects_lattice_over_max_nodes_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the node count was checked")
+
+        for name in ("linspace", "empty", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(ValueError, match=f"need nx \\* ny <= {MAX_GRID_NODES},"
+                                             " got 100000 \\* 100000"):
+            velocity_grid([0j, 1 + 0j], [1 + 0j, 1 + 0j], GRID_WINDOW, 100_000, 100_000)
+
+    def test_node_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(field, "MAX_GRID_NODES", 12)
+        assert velocity_grid([0j], [1 + 0j], GRID_WINDOW, 4, 3).velocity.size == 12
+        with pytest.raises(ValueError, match="need nx \\* ny <= 12, got 7 \\* 2"):
+            velocity_grid([0j], [1 + 0j], GRID_WINDOW, 7, 2)
+
+
+class TestLatticeShares:
+    """velocity_grid split over worker threads: the private CPU count is
+    forced, so each split runs on any host."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_singular_nodes_in_every_share(self, monkeypatch, workers):
+        # 60 * 60 nodes of 51 points: 3, 6 and 9 blocks for 1, 2 and 3 workers,
+        # and the eight pinned nodes fall in the blocks of every worker
+        monkeypatch.setattr(field, "_cpu_count", lambda: workers)
+        z, g = pinned_ring(60, 60, [450 * k + 5 for k in range(8)])
+        grid = velocity_grid(z, g, GRID_WINDOW, 60, 60)
+        _, _, vel, singular = unchunked_grid(z, g, GRID_WINDOW, 60, 60)
+        assert grid.singular.sum() == 8 and np.array_equal(grid.singular, singular)
+        assert grid.velocity.tobytes() == vel.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(case=lattices())
+    def test_bit_identical_to_unchunked_sum(self, workers, case):
+        z, g, nx, ny = case
+        with mock.patch.object(field, "_cpu_count", lambda: workers):
+            grid = velocity_grid(z, g, GRID_WINDOW, nx, ny)
+        _, _, vel, singular = unchunked_grid(z, g, GRID_WINDOW, nx, ny)
+        assert np.array_equal(grid.singular, singular)
+        assert grid.velocity.tobytes() == vel.tobytes()
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_failure_reaches_the_caller_after_every_share(self, monkeypatch, failing):
+        # two shares of three blocks each; the failing share stops at its
+        # first block, the other one takes its time over all three
+        field_sum, caller = field._field_sum, threading.current_thread()
+        finished = []
+
+        def flaky_sum(diff, gamma, out=None):
+            on_caller = threading.current_thread() is caller
+            if on_caller == (failing == "caller"):
+                raise RuntimeError(f"{failing} share failed")
+            time.sleep(0.05)
+            finished.append(diff.shape[0])
+            return field_sum(diff, gamma, out=out)
+
+        monkeypatch.setattr(field, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(field, "_field_sum", flaky_sum)
+        z, g = RING
+        with pytest.raises(RuntimeError, match=f"{failing} share failed"):
+            velocity_grid(z, g, GRID_WINDOW, 60, 60)
+        assert len(finished) == 3
+        # the pool serves the next lattice, with nothing of the failed one left over
+        monkeypatch.setattr(field, "_field_sum", field_sum)
+        grid = velocity_grid(z, g, GRID_WINDOW, 60, 60)
+        assert grid.velocity.tobytes() == unchunked_grid(z, g, GRID_WINDOW, 60, 60)[2].tobytes()
+
+    def test_no_lattice_is_kept_after_it_returns(self, monkeypatch):
+        monkeypatch.setattr(field, "_cpu_count", lambda: 2)
+        z, g = RING
+        velocity_grid(z, g, GRID_WINDOW, 60, 60)
+        tracemalloc.start()
+        try:
+            velocity_grid(z, g, GRID_WINDOW, 60, 60)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the grid alone is 61 KB, and a share's buffers 786 KB
+        assert kept < 10_000
+
+    def test_concurrent_callers_get_identical_bytes(self, monkeypatch):
+        monkeypatch.setattr(field, "_cpu_count", lambda: 3)
+        z, g = pinned_ring(60, 60, [5, 1500, 3000])
+        expected = unchunked_grid(z, g, GRID_WINDOW, 60, 60)[2].tobytes()
+        got = []
+
+        def draw():
+            for _ in range(5):
+                got.append(velocity_grid(z, g, GRID_WINDOW, 60, 60).velocity.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=draw) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [expected] * 20
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
+    def test_forked_child_draws_a_grid(self, monkeypatch):
+        monkeypatch.setattr(field, "_cpu_count", lambda: 2)
+        z, g = RING
+        expected = velocity_grid(z, g, GRID_WINDOW, 60, 60).velocity.tobytes()
+
+        def child():
+            grid = velocity_grid(z, g, GRID_WINDOW, 60, 60)
+            sys.exit(0 if grid.velocity.tobytes() == expected else 3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=30)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung and proc.exitcode == 0
 
 
 class TestDefaultWindow:
