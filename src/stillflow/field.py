@@ -15,6 +15,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import SingularPoint, UndefinedFarField
 
 #: Node-point terms per block of the lattice in velocity_grid: 2**16
 #: complex elements, 1 MB per temporary. With W shares, each share's
-#: block holds 2**16 // W terms.
+#: tiles hold at most 2**16 // W terms.
 _BLOCK_ELEMENTS = 1 << 16
 
 #: Most nodes velocity_grid samples: 68 MB of returned arrays.
@@ -111,7 +112,7 @@ if hasattr(os, "register_at_fork"):
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned view rectangle."""
+    """Axis-aligned view rectangle, with finite bounds and finite widths."""
 
     x_min: float
     x_max: float
@@ -119,9 +120,11 @@ class Window:
     y_max: float
 
     def __post_init__(self):
-        if not (-math.inf < self.x_min < self.x_max < math.inf
-                and -math.inf < self.y_min < self.y_max < math.inf):
-            raise ValueError(f"window rectangle is empty or not finite: {self}")
+        if not (self.x_min < self.x_max and self.y_min < self.y_max
+                and math.isfinite(self.x_max - self.x_min)
+                and math.isfinite(self.y_max - self.y_min)):
+            raise ValueError(f"window rectangle is empty, or its bounds or widths"
+                             f" are not finite: {self}")
 
     def contains(self, z: complex) -> bool:
         return self.x_min <= z.real <= self.x_max and self.y_min <= z.imag <= self.y_max
@@ -212,18 +215,26 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
     flagged and given velocity zero so downstream consumers never see
     non-finite values.
 
-    The lattice is evaluated in blocks of whole nodes. A lattice of two or
-    more blocks is split into W shares, W being the number of CPUs the
-    process may run on, but at most the number of blocks. The calling
-    thread runs one share and worker threads, started by the first such
-    lattice and kept for the process, run the others; numpy releases the
-    interpreter lock inside each block's sums. A share's blocks hold at
-    most 2**16 // W node-point terms (or one node, if a node has more), so
-    no temporary exceeds 1 MB, and the working memory beyond the returned
-    arrays stays under 6 MB (about 2 MB from seven points up) whatever nx,
-    ny and W, while a node has at most 2**16 // W terms. Each node's sum
-    runs over the points in order, so the values depend neither on the
-    block size nor on W: every grid is bit-identical to a one-thread sum.
+    The lattice is cut into tiles: runs of whole rows, or segments of one
+    row where a row has more node-point terms than a tile holds. A tile's
+    differences z - z_b are written from two small tables, its columns' x
+    minus every Re z_b and its rows' y minus every Im z_b, each formed
+    exactly as that part of xs[i] + 1j * ys[j] - z_b is. |z - z_b| is at
+    least the larger of the two parts, so a node can be within the floor
+    of a point only in a tile where both tables come within the floor for
+    that point, and only such a tile has its moduli taken. A lattice of two
+    or more blocks of 2**16 node-point terms is split into W shares of
+    interleaved tiles, W being the number of CPUs the process may run on,
+    but at most the number of blocks. The calling thread runs one share and
+    worker threads, started by the first such lattice and kept for the
+    process, run the others; numpy releases the interpreter lock inside
+    each tile's sums. A share's tiles hold at most 2**16 // W node-point
+    terms (or one node, if a node has more), so no temporary exceeds 1 MB,
+    and the working memory beyond the returned arrays stays under 3 MB
+    (about 2 MB from five points up) whatever nx, ny and W, while a node
+    has at most 2**16 // W terms. Each node's sum runs over the points in
+    order, so the values depend neither on the tiles nor on W: every grid
+    is bit-identical to a one-thread sum.
 
     Raises
     ------
@@ -236,34 +247,68 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
     if nx * ny > MAX_GRID_NODES:
         raise ValueError(f"need nx * ny <= {MAX_GRID_NODES}, got {nx} * {ny}")
     positions, gamma, floor = _inputs(points, strengths)
+    n = positions.size
     xs = np.linspace(window.x_min, window.x_max, nx)
     ys = np.linspace(window.y_min, window.y_max, ny)
     vel = np.empty((ny, nx), dtype=np.complex128)
     singular = np.zeros((ny, nx), dtype=bool)
     flat_vel, flat_singular = vel.reshape(-1), singular.reshape(-1)
-    full_blocks = -(-nx * ny // max(1, _BLOCK_ELEMENTS // positions.size))
+    full_blocks = -(-nx * ny // max(1, _BLOCK_ELEMENTS // n))
     workers = min(_cpu_count(), full_blocks)
-    block = max(1, _BLOCK_ELEMENTS // workers // positions.size)
-    starts = range(0, nx * ny, block)
+    block = max(1, _BLOCK_ELEMENTS // workers // n)
+    # Node (i, j) is xs[i] + 1j * ys[j]: its real part is xs[i] plus a zero
+    # signed like ys[j], which changes only a -0.0 (at most xs[-1]), and its
+    # imaginary part is 0.0 + ys[j], which turns -0.0 into 0.0.
+    iy = 1j * ys
+    x_shift, y_parts = iy.real.tolist(), (0.0 + iy).imag
+    runs = [0, ny]
+    if ((xs == 0.0) & np.signbit(xs)).any():
+        # a tile's rows share one x table, so runs of rows end where the zero's sign changes
+        runs[1:1] = (np.flatnonzero(np.diff(np.signbit(iy.real))) + 1).tolist()
 
-    def share(starts, diff_buf, dist_buf):
-        for lo in starts:
-            hi = min(lo + block, nx * ny)
-            row, col = np.divmod(np.arange(lo, hi), nx)
-            nodes = xs[col] + 1j * ys[row]
-            diff = np.subtract(nodes[:, None], positions, out=diff_buf[: hi - lo])
-            dist = np.abs(diff, out=dist_buf[: hi - lo])
-            if dist.min() < floor:
-                hit = (dist < floor).any(axis=1)
-                flat_singular[lo:hi] = hit
+    def tiles():
+        """(r0, r1, c0, c1) of each tile in turn: rows r0:r1, columns c0:c1."""
+        if nx <= block:
+            step = block // nx
+            for start, end in zip(runs, runs[1:]):
+                for r0 in range(start, end, step):
+                    yield r0, min(r0 + step, end), 0, nx
+        else:
+            for r in range(ny):
+                for c0 in range(0, nx, block):
+                    yield r, r + 1, c0, min(c0 + block, nx)
+
+    # every point's imaginary part once per column of the widest tile
+    z_imag = np.tile(positions.imag, min(nx, block))
+
+    def share(k, buf):
+        near_x_at = None
+        for r0, r1, c0, c1 in islice(tiles(), k, None, workers):
+            rows, cols = r1 - r0, c1 - c0
+            lo, m = r0 * nx + c0, rows * cols
+            diff = buf[: m * n]
+            dx, dy = diff.real.reshape(rows, cols * n), diff.imag.reshape(rows, cols * n)
+            # the first row's real parts are the x table, and the other rows copy it
+            np.subtract((xs[c0:c1] + x_shift[r0])[:, None], positions.real,
+                        out=dx[0].reshape(cols, n))
+            dx[1:] = dx[0]
+            if c0 != near_x_at:
+                # the points some column comes within the floor of; the moduli
+                # go to the first row's imaginary parts, written below
+                near_x_at = c0
+                near = np.flatnonzero(
+                    np.abs(dx[0], out=dy[0]).reshape(cols, n).min(axis=0) < floor)
+            np.subtract(y_parts[r0:r1, None], z_imag[: cols * n], out=dy)
+            diff = diff.reshape(m, n)
+            if near.size and (np.abs(dy[:, near]) < floor).any():
+                hit = (np.abs(diff) < floor).any(axis=1)
+                flat_singular[lo : lo + m] = hit
                 # a unit difference keeps the discarded terms of flagged nodes finite
                 diff[hit] = 1.0
-            _field_sum(diff, gamma, out=flat_vel[lo:hi])
+            _field_sum(diff, gamma, out=flat_vel[lo : lo + m])
 
-    # every share's buffers are allocated here, before any share starts
-    shares = [partial(share, starts[k::workers],
-                      np.empty((block, positions.size), dtype=np.complex128),
-                      np.empty((block, positions.size)))
+    # every share's buffer is allocated here, before any share starts
+    shares = [partial(share, k, np.empty(block * n, dtype=np.complex128))
               for k in range(workers)]
     if workers == 1:
         shares[0]()

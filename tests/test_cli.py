@@ -438,13 +438,17 @@ class TestOutOfRangeArguments:
         ["verify", "--residual-tol", "nan"],
         ["verify", "--drift-tol", "-1"],
         ["orbit", "--gamma", "1", "1", "--r0", "1", "--tol", "-1"],
+        # finite bounds whose width overflows
+        ["field", "--window", " -1e308", "1e308", " -1", "1", "--nx", "3", "--ny", "2"],
+        ["field", "--window", " -1", "1", " -1.7e308", "1e308", "--nx", "3", "--ny", "2"],
     ])
     def test_value_error_exits_2(self, tmp_path, capsys, args):
         if args[0] != "orbit":
             args = [args[0], "--in", solved_line(tmp_path)] + args[1:]
         capsys.readouterr()
         assert main(args) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestUnwritableOutput:

@@ -185,6 +185,28 @@ def lattices(draw):
     return z, g, nx, ny
 
 
+#: Window spans bounded by signed zeros. linspace ends a lattice on -0.0
+#: where the upper bound is -0.0, and starts it on 0.0 where the lower one is.
+SIGNED_ZERO_SPANS = [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)]
+
+
+@st.composite
+def signed_zero_lattices(draw):
+    """(points, strengths, window, nx, ny) over windows bounded by +-0.0,
+    with points at +-0 coordinates (on nodes at the window's edges, too)
+    and strengths with signed-zero parts."""
+    n = draw(st.integers(1, 12))
+    spans = st.sampled_from(SIGNED_ZERO_SPANS)
+    window = Window(*draw(spans), *draw(spans))
+    nx = draw(st.integers(2, 3000))
+    ny = draw(st.integers(2, max(2, min(40, 200_000 // (n * nx)))))
+    coords = st.sampled_from([-0.0, 0.0, -1.0, 1.0, 0.5]) | st.floats(-1.5, 1.5)
+    parts = st.sampled_from([-0.0, 0.0, -1.0, 2.5])
+    z = np.array([complex(draw(coords), draw(coords)) for _ in range(n)])
+    g = np.array([complex(draw(parts), draw(parts)) for _ in range(n)])
+    return z, g, window, nx, ny
+
+
 RING = (np.exp(2j * np.pi * np.arange(51) / 51), np.ones(51, complex))
 
 
@@ -347,6 +369,66 @@ class TestLatticeShares:
         assert np.array_equal(grid.singular, singular)
         assert grid.velocity.tobytes() == vel.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=signed_zero_lattices())
+    # the last column is -0.0, and the point's real part +0.0
+    @example(case=(np.array([0.5j]), np.array([-1j]), Window(-1.0, -0.0, -1.0, 1.0), 5, 5))
+    def test_signed_zeros_bit_identical_to_unchunked_sum(self, case):
+        z, g, window, nx, ny = case
+        xs, ys, vel, singular = unchunked_grid(z, g, window, nx, ny)
+        # every difference a sum sees is the oracle's node minus the point,
+        # down to the sign of a zero; flagged nodes' differences are 1
+        nodes = (xs[None, :] + 1j * ys[:, None]).reshape(-1, 1)
+        expected = np.where(singular.reshape(-1, 1), 1.0 + 0j, nodes - z)
+        field_sum, seen = field._field_sum, []
+
+        def recording_sum(diff, gamma, out=None):
+            seen.append(diff.copy())
+            return field_sum(diff, gamma, out=out)
+
+        with mock.patch.object(field, "_cpu_count", lambda: 1), \
+                mock.patch.object(field, "_field_sum", recording_sum):
+            velocity_grid(z, g, window, nx, ny)
+        assert np.concatenate(seen).tobytes() == expected.tobytes()
+        for workers in (1, 2, 3):
+            with mock.patch.object(field, "_cpu_count", lambda: workers):
+                grid = velocity_grid(z, g, window, nx, ny)
+            assert grid.xs.tobytes() == xs.tobytes() and grid.ys.tobytes() == ys.tobytes()
+            assert grid.singular.tobytes() == singular.tobytes()
+            assert grid.velocity.tobytes() == vel.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_flags_at_the_floor_in_the_first_and_last_tile_of_every_share(
+            self, monkeypatch, workers):
+        # A row of 3000 nodes of the 51-point ring is cut into segments of
+        # 2**16 // W // 51 nodes, so each row spans several tiles. Each share's
+        # first and last tile has a point off its first node and one off its
+        # last node, by (1 - 1e-3) and (1 + 1e-3) floors along the diagonal:
+        # both parts of each difference are within the floor, and the
+        # modulus is just inside it for the first and just outside for the last.
+        monkeypatch.setattr(field, "_cpu_count", lambda: workers)
+        nx, ny = 3000, 3
+        segment = 2**16 // workers // 51
+        per_row = -(-nx // segment)
+        tiles = ny * per_row
+        inside, outside = [], []
+        for k in range(workers):
+            for t in (k, k + (tiles - 1 - k) // workers * workers):
+                j, c = divmod(t, per_row)
+                inside.append((j, c * segment))
+                outside.append((j, min((c + 1) * segment, nx) - 1))
+        z, g = RING[0].copy(), RING[1]
+        diagonal = FLOOR * (1 + 1j) / math.sqrt(2)
+        for a, (j, i) in enumerate(inside):
+            z[2 * a] = lattice_node(nx, ny, i, j) + diagonal * (1 - 1e-3)
+        for a, (j, i) in enumerate(outside):
+            z[2 * a + 1] = lattice_node(nx, ny, i, j) + diagonal * (1 + 1e-3)
+        grid = velocity_grid(z, g, GRID_WINDOW, nx, ny)
+        _, _, vel, singular = unchunked_grid(z, g, GRID_WINDOW, nx, ny)
+        assert {(int(j), int(i)) for j, i in np.argwhere(grid.singular)} == set(inside)
+        assert np.array_equal(grid.singular, singular)
+        assert grid.velocity.tobytes() == vel.tobytes()
+
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_failure_reaches_the_caller_after_every_share(self, monkeypatch, failing):
         # two shares of three blocks each; the failing share stops at its
@@ -449,6 +531,8 @@ class TestDefaultWindow:
     @pytest.mark.parametrize("bounds", [
         (0.0, np.inf, -1.0, 1.0), (-np.inf, 0.0, -1.0, 1.0), (0.0, 1.0, -1.0, np.inf),
         (np.nan, 1.0, -1.0, 1.0), (0.0, 1.0, -np.inf, np.inf),
+        # finite bounds whose width overflows
+        (-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1.7e308, 1e308),
     ])
     def test_window_rejects_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError, match="not finite"):
