@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -46,68 +45,22 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(inbox) -> None:
-    """A worker thread's loop: run each share it is sent, report how it ended."""
-    while True:
-        share, k, done = inbox.get()
-        failure = None
-        try:
-            share()
-        except BaseException as exc:  # re-raised by the caller, in _Pool.run
-            failure = exc
-        # Hold nothing of a finished lattice while waiting for the next one;
-        # the share goes first, since the caller may return once it hears.
-        del share
-        done.put((k, failure))
-        del done, failure
+@cache
+def _executor():
+    """The worker threads' pool, made by the first lattice of two or more shares.
+
+    Threads that draw their first such lattice at the same moment may each
+    make a pool; the pools not kept run their shares, and their threads exit.
+    """
+    # imported here, so a process that draws no such lattice never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_cpu_count() - 1)
 
 
-class _Pool:
-    """Daemon worker threads, started as lattices first need them and kept
-    for the life of the process."""
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        # A forked child has none of its parent's threads, and this lock may
-        # have been held by one of them when the fork happened.
-        self._lock = threading.Lock()
-        self._inboxes = []
-
-    def run(self, shares) -> None:
-        """Run shares[0] on the calling thread and each other share on a
-        worker. Once every share has finished, raise the failure of the
-        first share that failed."""
-        # queue is imported with the first pool that starts, not with the module
-        from queue import SimpleQueue
-
-        with self._lock:
-            while len(self._inboxes) < len(shares) - 1:
-                inbox = SimpleQueue()
-                threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
-                self._inboxes.append(inbox)
-            inboxes = self._inboxes[: len(shares) - 1]
-        # each call has its own done queue, so callers running at once can
-        # share the workers
-        done = SimpleQueue()
-        for k, (inbox, share) in enumerate(zip(inboxes, shares[1:]), 1):
-            inbox.put((share, k, done))
-        failures = [None] * len(shares)
-        try:
-            shares[0]()
-        except Exception as exc:
-            failures[0] = exc
-        for _ in shares[1:]:
-            k, failures[k] = done.get()
-        for failure in failures:
-            if failure is not None:
-                raise failure
-
-
-_POOL = _Pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_POOL.reset)
+    # a forked child has none of the pool's threads, so it makes its own pool
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -185,7 +138,10 @@ def _field_sum(diff: ComplexArray, gamma: ComplexArray, out=None):
 
 
 def _outside_floor(z: complex, positions: ComplexArray, floor: float) -> ComplexArray:
-    """The differences z - z_b, unless z is within the floor of a point."""
+    """The differences z - z_b, unless z is not finite or is within the floor
+    of a point."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"probe must be finite, got {z}")
     diff = z - positions
     dist = np.abs(diff)
     nearest = int(np.argmin(dist))
@@ -200,6 +156,8 @@ def velocity_at(points, strengths, z: complex) -> complex:
 
     Raises
     ------
+    ValueError
+        If the probe is not finite.
     SingularPoint
         If the probe is within the separation floor of a singularity
         (the field blows up as 1/distance there).
@@ -222,19 +180,23 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
     exactly as that part of xs[i] + 1j * ys[j] - z_b is. |z - z_b| is at
     least the larger of the two parts, so a node can be within the floor
     of a point only in a tile where both tables come within the floor for
-    that point, and only such a tile has its moduli taken. A lattice of two
-    or more blocks of 2**16 node-point terms is split into W shares of
-    interleaved tiles, W being the number of CPUs the process may run on,
-    but at most the number of blocks. The calling thread runs one share and
-    worker threads, started by the first such lattice and kept for the
-    process, run the others; numpy releases the interpreter lock inside
-    each tile's sums. A share's tiles hold at most 2**16 // W node-point
-    terms (or one node, if a node has more), so no temporary exceeds 1 MB,
-    and the working memory beyond the returned arrays stays under 3 MB
-    (about 2 MB from five points up) whatever nx, ny and W, while a node
-    has at most 2**16 // W terms. Each node's sum runs over the points in
-    order, so the values depend neither on the tiles nor on W: every grid
-    is bit-identical to a one-thread sum.
+    that point, and only such a tile has its moduli taken.
+
+    A lattice of two or more blocks of 2**16 node-point terms is split into
+    W shares of interleaved tiles, W being the number of CPUs the process
+    may run on, but at most the number of blocks. The calling thread runs
+    one share and a ThreadPoolExecutor runs the others; numpy releases the
+    interpreter lock inside each tile's sums. The first such lattice imports
+    concurrent.futures and makes the pool, with one thread fewer than the
+    CPUs; the pool is kept for the process, and a forked child makes its
+    own. If shares fail, the failure of the first one that failed is raised
+    once every share has finished. A share's tiles hold at most 2**16 // W
+    node-point terms (or one node, if a node has more), so no temporary
+    exceeds 1 MB, and the working memory beyond the returned arrays stays
+    under 3 MB (about 2 MB from five points up) whatever nx, ny and W, while
+    a node has at most 2**16 // W terms. Each node's sum runs over the
+    points in order, so the values depend neither on the tiles nor on W:
+    every grid is bit-identical to a one-thread sum.
 
     Raises
     ------
@@ -266,22 +228,23 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
         # a tile's rows share one x table, so runs of rows end where the zero's sign changes
         runs[1:1] = (np.flatnonzero(np.diff(np.signbit(iy.real))) + 1).tolist()
 
+    # a tile is step whole rows, or a segment of one row width nodes long
+    step, width = max(1, block // nx), min(nx, block)
+
     def tiles():
         """(r0, r1, c0, c1) of each tile in turn: rows r0:r1, columns c0:c1."""
-        if nx <= block:
-            step = block // nx
-            for start, end in zip(runs, runs[1:]):
-                for r0 in range(start, end, step):
-                    yield r0, min(r0 + step, end), 0, nx
-        else:
-            for r in range(ny):
-                for c0 in range(0, nx, block):
-                    yield r, r + 1, c0, min(c0 + block, nx)
+        for start, end in zip(runs, runs[1:]):
+            for r0 in range(start, end, step):
+                for c0 in range(0, nx, width):
+                    yield r0, min(r0 + step, end), c0, min(c0 + width, nx)
 
     # every point's imaginary part once per column of the widest tile
-    z_imag = np.tile(positions.imag, min(nx, block))
+    z_imag = np.tile(positions.imag, width)
 
-    def share(k, buf):
+    def share(k):
+        # allocated in the share: a pool thread may hold the share itself for a
+        # moment after the lattice is returned
+        buf = np.empty(block * n, dtype=np.complex128)
         near_x_at = None
         for r0, r1, c0, c1 in islice(tiles(), k, None, workers):
             rows, cols = r1 - r0, c1 - c0
@@ -307,13 +270,17 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
                 diff[hit] = 1.0
             _field_sum(diff, gamma, out=flat_vel[lo : lo + m])
 
-    # every share's buffer is allocated here, before any share starts
-    shares = [partial(share, k, np.empty(block * n, dtype=np.complex128))
-              for k in range(workers)]
-    if workers == 1:
-        shares[0]()
-    else:
-        _POOL.run(shares)
+    # Share 0 runs here, and the pool is made only when there are other
+    # shares. Once every share has finished, the failure of the first share
+    # that failed is raised.
+    futures = [_executor().submit(share, k) for k in range(1, workers)]
+    try:
+        share(0)
+    finally:
+        for future in futures:
+            future.exception()
+    for future in futures:
+        future.result()
     vel[singular] = 0.0
     for arr in (xs, ys, vel, singular):
         arr.setflags(write=False)
@@ -335,7 +302,7 @@ def trace_streamline(points, strengths, start: complex, step: float = 1e-2,
     Raises
     ------
     ValueError
-        If the step is zero or not finite.
+        If the step is zero or not finite, or the start is not finite.
     SingularPoint
         If the start itself is inside the singular zone.
     """

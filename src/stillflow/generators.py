@@ -62,7 +62,8 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Axis-aligned rectangle with the seed for uniform draws inside it."""
+    """Axis-aligned rectangle, with finite bounds and finite widths, and the
+    seed for uniform draws inside it."""
 
     x_min: float
     x_max: float
@@ -71,8 +72,9 @@ class RegionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (-math.inf < self.x_min < self.x_max < math.inf
-                and -math.inf < self.y_min < self.y_max < math.inf):
+        if not (self.x_min < self.x_max and self.y_min < self.y_max
+                and math.isfinite(self.x_max - self.x_min)
+                and math.isfinite(self.y_max - self.y_min)):
             raise ValueError(f"region rectangle is empty or not finite: {self}")
 
 

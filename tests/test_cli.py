@@ -171,7 +171,12 @@ class TestGenerate:
         (["--plane", "--bounds", "0", "inf", "0", "1"],
          "region rectangle is empty or not finite:"
          " RegionSpec(x_min=0.0, x_max=inf, y_min=0.0, y_max=1.0, seed=0)"),
-    ], ids=["circle-radius", "circle-phase", "curve-phase", "random-curve-phase", "plane-bounds"])
+        # finite bounds whose width overflows
+        (["--plane", "--bounds", " -1e308", "1e308", "0", "1"],
+         "region rectangle is empty or not finite:"
+         " RegionSpec(x_min=-1e+308, x_max=1e+308, y_min=0.0, y_max=1.0, seed=0)"),
+    ], ids=["circle-radius", "circle-phase", "curve-phase", "random-curve-phase", "plane-bounds",
+            "plane-width"])
     def test_non_finite_parameter_exits_3_with_one_line(self, capsys, args, err):
         assert main(["generate", *args, "--n", "5"]) == EXIT_GENERATION
         captured = capsys.readouterr()

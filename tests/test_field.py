@@ -3,10 +3,14 @@
 import math
 import multiprocessing
 import os
+import re
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -250,6 +254,12 @@ class TestVelocityAt:
             velocity_at([0j, 1 + 0j], [1 + 0j, 1 + 0j], 1 + 0j)
         with pytest.raises(SingularPoint):
             velocity_at([0j, 1 + 0j], [1 + 0j, 1 + 0j], 1 + 1e-10j)
+
+    @pytest.mark.parametrize("probe", [complex(np.nan, 0.0), complex(1.0, np.inf),
+                                       complex(-np.inf, np.nan)])
+    def test_rejects_non_finite_probe(self, probe):
+        with pytest.raises(ValueError, match=f"probe must be finite, got {re.escape(str(probe))}"):
+            velocity_at([0j, 1 + 0j], [1 + 0j, 1 + 0j], probe)
 
     def test_rotated_strengths_turn_field_clockwise(self):
         rng = np.random.default_rng(92)
@@ -511,6 +521,48 @@ class TestLatticeShares:
             proc.join()
         assert not hung and proc.exitcode == 0
 
+    def test_worker_threads_are_kept_for_the_process(self, monkeypatch):
+        # a pool made per lattice, or a thread left behind by each lattice, shows here
+        field_sum, caller = field._field_sum, threading.current_thread()
+        workers = []
+
+        def recording_sum(diff, gamma, out=None):
+            if threading.current_thread() is not caller:
+                workers.append(threading.current_thread())
+            return field_sum(diff, gamma, out=out)
+
+        monkeypatch.setattr(field, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(field, "_field_sum", recording_sum)
+        z, g = RING
+        velocity_grid(z, g, GRID_WINDOW, 60, 60)
+        threads, first = threading.active_count(), set(workers)
+        for _ in range(19):
+            velocity_grid(z, g, GRID_WINDOW, 60, 60)
+        assert first and threading.active_count() <= threads + 1
+        assert len(set(workers)) <= len(first) + 1
+
+    def test_pool_module_loads_with_the_first_split_lattice(self):
+        # a program that draws no lattice of two or more blocks, such as a
+        # sweep of solves, never imports concurrent.futures
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import stillflow
+            from stillflow import field
+
+            window = stillflow.Window(-1.0, 1.0, -1.0, 1.0)
+            stillflow.velocity_grid([0j, 1 + 0j], [1 + 0j, 1 + 0j], window, 3, 3)
+            assert "concurrent.futures" not in sys.modules
+            field._cpu_count = lambda: 2
+            ring = np.exp(2j * np.pi * np.arange(51) / 51)
+            stillflow.velocity_grid(ring, np.ones(51, complex), window, 60, 60)
+            assert "concurrent.futures" in sys.modules
+        """)
+        src = Path(field.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestDefaultWindow:
     def test_pads_bounding_box(self):
@@ -594,6 +646,11 @@ class TestStreamlines:
     def test_rejects_zero_or_non_finite_step(self, step):
         with pytest.raises(ValueError, match="step must be finite and nonzero"):
             trace_streamline([0j], [TWO_PI + 0j], 1 + 0j, step=step)
+
+    @pytest.mark.parametrize("start", [complex(np.nan, 0.0), complex(0.5, -np.inf)])
+    def test_rejects_non_finite_start(self, start):
+        with pytest.raises(ValueError, match=f"probe must be finite, got {re.escape(str(start))}"):
+            trace_streamline([0j], [TWO_PI + 0j], start, window=Window(-1.0, 1.0, -1.0, 1.0))
 
     def test_negative_step_runs_upstream_into_a_source(self):
         line = trace_streamline([0j], [TWO_PI * 1j], 0.5 + 0j, step=-1e-2)

@@ -257,6 +257,7 @@ class TestRandomPlane:
 
     @pytest.mark.parametrize("bounds", [
         (0.0, np.inf, 0.0, 1.0), (-np.inf, 0.0, 0.0, 1.0), (0.0, 1.0, np.nan, 1.0),
+        (-1e308, 1e308, 0.0, 1.0),
     ])
     def test_rejects_non_finite_region(self, bounds):
         with pytest.raises(ValueError, match="not finite"):
