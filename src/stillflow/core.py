@@ -18,9 +18,14 @@ from .errors import DegenerateConfiguration
 FloatArray = NDArray[np.float64]
 ComplexArray = NDArray[np.complex128]
 
-#: Minimum allowed pairwise separation. Entries grow as 1/distance, so
-#: accuracy is lost well before exact coincidence.
+#: Separation floor of every layer: a closer pair of points is degenerate,
+#: and a probe this close to a point is singular. Entries grow as
+#: 1/distance, so accuracy is lost well before exact coincidence.
 DELTA_MIN_DEFAULT = 1e-9
+
+#: Most points a configuration may hold, checked before an N x N work
+#: matrix is allocated: the separation check holds about 24 N^2 bytes.
+MAX_POINTS = 10_000
 
 
 def _as_complex_vector(values, name: str) -> ComplexArray:
@@ -55,26 +60,22 @@ class PointSet:
     Parameters
     ----------
     positions:
-        Complex plane coordinates z_1..z_N, N >= 2.
-    delta_min:
-        Separation floor; any closer pair raises DegenerateConfiguration.
+        Complex plane coordinates z_1..z_N, 2 <= N <= MAX_POINTS. Any pair
+        closer than DELTA_MIN_DEFAULT raises DegenerateConfiguration.
     """
 
     positions: ComplexArray
-    delta_min: float = DELTA_MIN_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "positions", _as_complex_vector(self.positions, "positions"))
         if self.positions.size < 2:
             raise ValueError(f"need at least 2 points, got {self.positions.size}")
-        if not (np.isfinite(self.delta_min) and self.delta_min > 0):
-            raise ValueError(f"delta_min must be positive and finite, got {self.delta_min}")
         gap = pairwise_distances(self.positions)
         a, b = divmod(int(np.argmin(gap)), gap.shape[0])
-        if gap[a, b] < self.delta_min:
+        if gap[a, b] < DELTA_MIN_DEFAULT:
             raise DegenerateConfiguration(
                 f"points {a} and {b} are separated by {gap[a, b]:.3e}"
-                f" (< delta_min {self.delta_min:.3e})"
+                f" (< delta_min {DELTA_MIN_DEFAULT:.3e})"
             )
 
     @property
@@ -91,11 +92,26 @@ class PointSet:
         return float(gap.max())
 
 
+def _pair_buffer(n: int) -> tuple[ComplexArray, ComplexArray]:
+    """An n x n work matrix and a view of its diagonal, for n <= MAX_POINTS."""
+    if n > MAX_POINTS:
+        raise ValueError(f"need at most {MAX_POINTS} points, got {n}")
+    diff = np.empty((n, n), dtype=np.complex128)
+    return diff, diff.reshape(-1)[:: n + 1]
+
+
+def _differences(z: ComplexArray, diff: ComplexArray, diag: ComplexArray) -> ComplexArray:
+    """z_a - z_b into diff, with an infinite diagonal: the separation of a
+    point from itself is never the smallest, and its own term, 1/inf in A
+    or Gamma_a / inf in its velocity, is zero."""
+    np.subtract(z[:, None], z[None, :], out=diff)
+    diag.fill(np.inf)
+    return diff
+
+
 def pairwise_distances(z: ComplexArray) -> FloatArray:
-    """All |z_a - z_b| with the diagonal set to +inf."""
-    gap = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(gap, np.inf)
-    return gap
+    """All |z_a - z_b|, with the diagonal +inf so that a minimum is a pair's."""
+    return np.abs(_differences(z, *_pair_buffer(z.size)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +168,16 @@ class ConfigurationMatrix:
 def build_matrix(points: PointSet) -> ConfigurationMatrix:
     """Build the interaction matrix of a configuration.
 
-    Off-diagonal entries are 1/(z_a - z_b); the diagonal is exactly zero.
-    Each value is computed once for the upper triangle and negated into the
-    lower triangle, so entries[b, a] == -entries[a, b] holds bit for bit.
+    Off-diagonal entries are 1/(z_a - z_b), and the diagonal is 1/inf, which
+    is +0 + 0j. entries[b, a] == -entries[a, b] holds bit for bit, signed
+    zeros included: z_b - z_a is -(z_a - z_b) but for the sign of a zero
+    part, and numpy's complex division (Smith's method) is odd in its
+    divisor and blind to the sign of the divisor's zero parts.
 
     Parameters
     ----------
     points:
-        A PointSet (or plain complex sequence, in which case the default
-        separation floor applies).
+        A PointSet, or a plain complex sequence, which is made one.
 
     Returns
     -------
@@ -171,14 +188,10 @@ def build_matrix(points: PointSet) -> ConfigurationMatrix:
     DegenerateConfiguration
         If any pair sits closer than the separation floor; the message names
         the offending indices.
+    ValueError
+        If there are more than MAX_POINTS points; nothing is allocated first.
     """
     if not isinstance(points, PointSet):
         points = PointSet(points)
-    z = points.positions
-    n = z.size
-    a = np.zeros((n, n), dtype=np.complex128)
-    iu, ju = np.triu_indices(n, k=1)
-    vals = 1.0 / (z[iu] - z[ju])
-    a[iu, ju] = vals
-    a[ju, iu] = -vals
-    return ConfigurationMatrix(a)
+    diff = _differences(points.positions, *_pair_buffer(points.n))
+    return ConfigurationMatrix(np.divide(1.0, diff, out=diff))

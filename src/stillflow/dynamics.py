@@ -16,9 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexArray, FloatArray
+from .core import DELTA_MIN_DEFAULT, ComplexArray, FloatArray, _differences, _pair_buffer
 from .errors import CollapseReached, CollisionAbort
 from .field import _field_sum, _inputs
+
+#: Most positions integrate records, (steps + 1) x N: 256 MB of trajectory.
+#: The default verify (1000 steps) fits up to MAX_POINTS points.
+MAX_TRAJECTORY_POSITIONS = 2**24
 
 
 @dataclass(frozen=True)
@@ -138,25 +142,10 @@ def point_velocities(points, strengths) -> ComplexArray:
     Componentwise this is conj((A Gamma)_a / (2 pi i)), so it vanishes
     exactly on equilibria. A single point never moves itself.
     """
-    z, gamma, _ = _inputs(points, strengths)
+    z, gamma = _inputs(points, strengths)
     if z.size == 1:
         return np.zeros(1, dtype=np.complex128)
     return _field_sum(_differences(z, *_pair_buffer(z.size)), gamma)
-
-
-def _pair_buffer(n: int) -> tuple[ComplexArray, ComplexArray]:
-    """An n x n work matrix and a view of its diagonal."""
-    diff = np.empty((n, n), dtype=np.complex128)
-    return diff, diff.reshape(-1)[:: n + 1]
-
-
-def _differences(z: ComplexArray, diff: ComplexArray, diag: ComplexArray) -> ComplexArray:
-    """z_a - z_b into diff, with an infinite diagonal: the separation of a
-    point from itself never limits a step, and its own term Gamma_a / inf
-    adds nothing to its velocity."""
-    np.subtract(z[:, None], z[None, :], out=diff)
-    diag.fill(np.inf)
-    return diff
 
 
 def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> TrajectorySet:
@@ -178,14 +167,22 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     Raises
     ------
     ValueError
-        Unless t_final and dt are finite and positive.
+        Unless t_final and dt are finite and positive, the configuration
+        has at most MAX_POINTS points and the trajectory at most
+        MAX_TRAJECTORY_POSITIONS positions; nothing is allocated first.
     CollisionAbort
         Carrying (time, pair, distance) of the offending pair.
     """
     if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"need finite t_final > 0 and dt > 0, got t_final={t_final}, dt={dt}")
-    z, gamma, delta_min = _inputs(points, strengths)
+    z, gamma = _inputs(points, strengths)
     n = z.size
+    # -(-t_final // dt) is ceil(t_final / dt), in floating point, so that an
+    # infinite quotient is refused too
+    steps = -(-t_final // dt)
+    if (steps + 1.0) * n > MAX_TRAJECTORY_POSITIONS:
+        raise ValueError(f"{steps:.6g} steps of {n} points would record more than"
+                         f" {MAX_TRAJECTORY_POSITIONS} positions")
 
     diff, diag = _pair_buffer(n)
     gap = np.empty((n, n))
@@ -210,13 +207,13 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
             sep = float(gap_flat[nearest])
             a, b = divmod(nearest, n)
             pair = (min(a, b), max(a, b))
-            if sep < delta_min:
+            if sep < DELTA_MIN_DEFAULT:
                 raise CollisionAbort(
                     f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
                     f" (distance {sep:.3e})",
                     time=t, pair=pair, distance=sep,
                 )
-            if sep < 10.0 * delta_min and pair not in warned:
+            if sep < 10.0 * DELTA_MIN_DEFAULT and pair not in warned:
                 warned.add(pair)
                 events.append(CollisionEvent(t, pair, sep))
             _field_sum(diff, gamma, k1)

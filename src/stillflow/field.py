@@ -114,14 +114,13 @@ def default_window(points) -> Window:
     return Window(x_min - pad, x_max + pad, y_min - pad, y_max + pad)
 
 
-def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray, float]:
-    """Positions, strengths of the same size, and the separation floor."""
+def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray]:
+    """Positions and strengths of the same size."""
     positions = as_positions(points)
     gamma = as_strength_values(strengths)
     if positions.size != gamma.size:
         raise ValueError(f"{positions.size} points but {gamma.size} strengths")
-    floor = points.delta_min if isinstance(points, PointSet) else DELTA_MIN_DEFAULT
-    return positions, gamma, floor
+    return positions, gamma
 
 
 def _field_sum(diff: ComplexArray, gamma: ComplexArray, out=None):
@@ -137,7 +136,7 @@ def _field_sum(diff: ComplexArray, gamma: ComplexArray, out=None):
     return np.conjugate(total / (2.0j * math.pi), out=out)
 
 
-def _outside_floor(z: complex, positions: ComplexArray, floor: float) -> ComplexArray:
+def _outside_floor(z: complex, positions: ComplexArray) -> ComplexArray:
     """The differences z - z_b, unless z is not finite or is within the floor
     of a point."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -145,7 +144,7 @@ def _outside_floor(z: complex, positions: ComplexArray, floor: float) -> Complex
     diff = z - positions
     dist = np.abs(diff)
     nearest = int(np.argmin(dist))
-    if dist[nearest] < floor:
+    if dist[nearest] < DELTA_MIN_DEFAULT:
         raise SingularPoint(f"probe at {z} is within {dist[nearest]:.3e}"
                             f" of singularity {nearest}")
     return diff
@@ -162,8 +161,8 @@ def velocity_at(points, strengths, z: complex) -> complex:
         If the probe is within the separation floor of a singularity
         (the field blows up as 1/distance there).
     """
-    positions, gamma, floor = _inputs(points, strengths)
-    return complex(_field_sum(_outside_floor(complex(z), positions, floor), gamma))
+    positions, gamma = _inputs(points, strengths)
+    return complex(_field_sum(_outside_floor(complex(z), positions), gamma))
 
 
 def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldGrid:
@@ -208,7 +207,7 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
         raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")
     if nx * ny > MAX_GRID_NODES:
         raise ValueError(f"need nx * ny <= {MAX_GRID_NODES}, got {nx} * {ny}")
-    positions, gamma, floor = _inputs(points, strengths)
+    positions, gamma = _inputs(points, strengths)
     n = positions.size
     xs = np.linspace(window.x_min, window.x_max, nx)
     ys = np.linspace(window.y_min, window.y_max, ny)
@@ -260,11 +259,11 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
                 # go to the first row's imaginary parts, written below
                 near_x_at = c0
                 near = np.flatnonzero(
-                    np.abs(dx[0], out=dy[0]).reshape(cols, n).min(axis=0) < floor)
+                    np.abs(dx[0], out=dy[0]).reshape(cols, n).min(axis=0) < DELTA_MIN_DEFAULT)
             np.subtract(y_parts[r0:r1, None], z_imag[: cols * n], out=dy)
             diff = diff.reshape(m, n)
-            if near.size and (np.abs(dy[:, near]) < floor).any():
-                hit = (np.abs(diff) < floor).any(axis=1)
+            if near.size and (np.abs(dy[:, near]) < DELTA_MIN_DEFAULT).any():
+                hit = (np.abs(diff) < DELTA_MIN_DEFAULT).any(axis=1)
                 flat_singular[lo : lo + m] = hit
                 # a unit difference keeps the discarded terms of flagged nodes finite
                 diff[hit] = 1.0
@@ -308,10 +307,10 @@ def trace_streamline(points, strengths, start: complex, step: float = 1e-2,
     """
     if step == 0.0 or not math.isfinite(step):
         raise ValueError(f"step must be finite and nonzero, got {step}")
-    positions, gamma, floor = _inputs(points, strengths)
+    positions, gamma = _inputs(points, strengths)
     if window is None:
         window = default_window(points)
-    approach = max(10.0 * floor, abs(step))
+    approach = max(10.0 * DELTA_MIN_DEFAULT, abs(step))
     stagnant = 1e-12 * max(float(np.abs(gamma).max()), 1.0)
 
     def direction(diff):
@@ -320,7 +319,7 @@ def trace_streamline(points, strengths, start: complex, step: float = 1e-2,
         return None if speed <= stagnant else v / speed
 
     z = complex(start)
-    diff = _outside_floor(z, positions, floor)
+    diff = _outside_floor(z, positions)
     vertices = [z]
     terminated = "step_limit"
     for _ in range(max_steps):
@@ -366,7 +365,7 @@ def far_field_deviation(points, strengths, radius: float) -> float:
         If the radius is not finite or is inside three configuration
         diameters.
     """
-    positions, gamma, _ = _inputs(points, strengths)
+    positions, gamma = _inputs(points, strengths)
     total = complex(gamma.sum())
     if abs(total) <= 1e-9 * float(np.abs(gamma).sum()):
         raise UndefinedFarField("total strength cancels; far field decays faster than 1/r")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet
+from .core import MAX_POINTS, PointSet
 from .errors import DegenerateConfiguration
 
 #: Dense table resolution for arclength inversion.
@@ -22,10 +22,6 @@ ARCLENGTH_SAMPLES = 100_000
 
 #: Redraw attempts for random placements before giving up.
 RETRY_CAP = 50
-
-#: Most points a generator places, checked before anything is allocated:
-#: PointSet's separation check builds N x N arrays of about 24 N^2 bytes.
-MAX_POINTS = 10_000
 
 CURVES = ("flower", "figure_eight")
 CURVE_DISTRIBUTIONS = ("even_arclength", "even_parameter", "random_parameter")

@@ -446,6 +446,8 @@ class TestOutOfRangeArguments:
         # finite bounds whose width overflows
         ["field", "--window", " -1e308", "1e308", " -1", "1", "--nx", "3", "--ny", "2"],
         ["field", "--window", " -1", "1", " -1.7e308", "1e308", "--nx", "3", "--ny", "2"],
+        # 10**9 steps: more trajectory than MAX_TRAJECTORY_POSITIONS
+        ["verify", "--dt", "1e-9"],
     ])
     def test_value_error_exits_2(self, tmp_path, capsys, args):
         if args[0] != "orbit":
@@ -454,6 +456,33 @@ class TestOutOfRangeArguments:
         assert main(args) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestTooManyPoints:
+    """A configuration file of more than MAX_POINTS points exits 2, before
+    any N x N array is allocated."""
+
+    @pytest.fixture(scope="class")
+    def big_file(self, tmp_path_factory):
+        n = core.MAX_POINTS + 1
+        path = tmp_path_factory.mktemp("big") / "big.json"
+        return write_config(path, np.arange(n) + 0j, np.ones(n) + 0j)
+
+    @pytest.mark.parametrize("command", ["solve", "spectrum", "verify", "field"])
+    def test_exits_2_before_allocating(self, big_file, capsys, command):
+        tracemalloc.start()
+        try:
+            code = main([command, "--in", big_file])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: need at most {core.MAX_POINTS} points, got {core.MAX_POINTS + 1}\n")
+        assert captured.out == ""
+        # reading the file takes a few MB; the N x N differences would take 1.6 GB
+        assert peak < core.MAX_POINTS**2 // 10
 
 
 class TestUnwritableOutput:

@@ -4,14 +4,19 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stillflow import (
+    DELTA_MIN_DEFAULT,
     ConfigurationMatrix,
     DegenerateConfiguration,
     PointSet,
     StrengthVector,
     build_matrix,
+    core,
 )
+from stillflow.core import pairwise_distances
 
 
 def random_points(rng, n, min_gap=0.05):
@@ -69,11 +74,6 @@ class TestPointSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PointSet([0j, complex(np.nan, 0)])
-
-    def test_custom_separation_floor(self):
-        PointSet([0j, 0.01 + 0j], delta_min=1e-3)
-        with pytest.raises(DegenerateConfiguration):
-            PointSet([0j, 0.01 + 0j], delta_min=0.1)
 
     def test_positions_read_only(self):
         ps = PointSet([0j, 1 + 0j])
@@ -145,6 +145,93 @@ class TestBuildMatrix:
         a = build_matrix(PointSet([0j, 1 + 0j]))
         with pytest.raises(ValueError):
             a.entries[0, 1] = 3.0
+
+
+@pytest.fixture
+def no_empty(monkeypatch):
+    """np.empty fails: a call that raises under it allocated nothing first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.empty was called")
+
+    monkeypatch.setattr(np, "empty", refuse)
+
+
+def upper_triangle_matrix(z):
+    """The interaction matrix as first built: each 1/(z_a - z_b) with a < b
+    computed once, negated into the lower triangle, on a zero diagonal."""
+    n = z.size
+    a = np.zeros((n, n), dtype=np.complex128)
+    iu, ju = np.triu_indices(n, k=1)
+    vals = 1.0 / (z[iu] - z[ju])
+    a[iu, ju] = vals
+    a[ju, iu] = -vals
+    return a
+
+
+@st.composite
+def matrix_configurations(draw):
+    """Random points, polygons, collinear points or integer lattices, of 2 to
+    29, 51 or 201 points. The x and y coordinates are scaled by their own
+    powers of ten, from 1e-150 to 1e150, and every zero coordinate part
+    gets a drawn sign."""
+    n = draw(st.one_of(st.integers(2, 29), st.sampled_from([51, 201])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["random", "polygon", "collinear", "lattice"]))
+    if family == "random":
+        z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    elif family == "polygon":
+        z = np.exp(2j * np.pi * np.arange(n) / n)
+    elif family == "collinear":
+        direction = draw(st.sampled_from([1.0, 1j, -1.0, np.exp(0.3j)]))
+        z = rng.permutation(np.linspace(-1.0, 1.0, n)) * direction
+    else:
+        side = int(np.ceil(np.sqrt(n))) + 2
+        cells = rng.choice(side * side, n, replace=False)
+        z = (cells % side - side // 2) + 1j * (cells // side - side // 2)
+    z = (z.real * 10.0 ** draw(st.integers(-150, 150))
+         + 1j * z.imag * 10.0 ** draw(st.integers(-150, 150)))
+    parts = z.view(np.float64)
+    zeros = np.flatnonzero(parts == 0.0)
+    parts[zeros] = np.where(rng.random(zeros.size) < 0.5, 0.0, -0.0)
+    return z
+
+
+class TestMatrixOracle:
+    """build_matrix against the upper-triangle construction, byte for byte:
+    == cannot tell +0 from -0, tobytes can."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_configurations())
+    @example(np.array([complex(0.0, -0.0), complex(-0.0, 1.0), complex(-0.0, -1.0),
+                       complex(1.0, 0.0), complex(2.0, -0.0), complex(1.0, -2.0)]))
+    def test_bytes_match_upper_triangle_construction(self, z):
+        if pairwise_distances(z).min() < DELTA_MIN_DEFAULT:
+            with pytest.raises(DegenerateConfiguration):
+                build_matrix(PointSet(z))
+            return
+        points = PointSet(z)
+        got = build_matrix(points).entries
+        assert got.tobytes() == upper_triangle_matrix(points.positions).tobytes()
+
+
+class TestPointBound:
+    """One check before the N x N differences are allocated covers PointSet
+    and build_matrix."""
+
+    def test_too_many_points_raise_before_allocating(self, no_empty):
+        z = np.arange(core.MAX_POINTS + 1, dtype=np.complex128)
+        for build in (PointSet, build_matrix):
+            with pytest.raises(ValueError, match=f"need at most {core.MAX_POINTS} points,"
+                                                 f" got {core.MAX_POINTS + 1}"):
+                build(z)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_POINTS", 5)
+        assert build_matrix(np.arange(5.0)).n == 5
+        with pytest.raises(ValueError, match="need at most 5 points, got 6"):
+            PointSet(np.arange(6.0))
+        with pytest.raises(ValueError, match="need at most 5 points, got 6"):
+            pairwise_distances(np.arange(6.0) + 0j)
 
 
 class TestHermitianSplit:

@@ -16,6 +16,8 @@ from stillflow import (
     StrengthVector,
     build_matrix,
     collapse_time,
+    core,
+    dynamics,
     fixedness_check,
     integrate,
     integrate_tracer,
@@ -27,7 +29,7 @@ from stillflow import (
 from stillflow.core import pairwise_distances
 from stillflow.dynamics import CollisionEvent
 
-from test_core import random_points
+from test_core import no_empty, random_points
 
 
 def reference_integrate(z, gamma, t_final, dt, delta_min=1e-9):
@@ -262,6 +264,37 @@ class TestNonFiniteTimes:
             integrate_tracer(p, 0.1, dt=value)
         with pytest.raises(ValueError):
             single_orbit(p, value)
+
+
+class TestBounds:
+    """Point counts and trajectory lengths are refused before anything is
+    allocated."""
+
+    # an equilibrium: nothing moves, whatever the step
+    Z, G = [-1 + 0j, 0j, 1 + 0j], [1 + 0j, -0.5 + 0j, 1 + 0j]
+
+    def test_too_many_plain_points(self, no_empty):
+        z = np.arange(core.MAX_POINTS + 1, dtype=np.complex128)
+        g = np.ones(z.size)
+        message = f"need at most {core.MAX_POINTS} points, got {z.size}"
+        with pytest.raises(ValueError, match=message):
+            integrate(z, g, 1.0)
+        with pytest.raises(ValueError, match=message):
+            point_velocities(z, g)
+
+    def test_trajectory_bound_is_inclusive(self, monkeypatch):
+        # 4 steps of 3 points record 5 x 3 positions
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_POSITIONS", 15)
+        assert integrate(self.Z, self.G, 1.0, 0.25).positions.shape == (5, 3)
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_POSITIONS", 14)
+        with pytest.raises(ValueError, match="4 steps of 3 points would record more than 14"):
+            integrate(self.Z, self.G, 1.0, 0.25)
+
+    @pytest.mark.parametrize("dt", [1e-9, 5e-324])
+    def test_long_trajectory_raises_before_allocating(self, no_empty, dt):
+        # 5e-324 makes t_final / dt infinite
+        with pytest.raises(ValueError, match="positions"):
+            integrate(self.Z, self.G, 1.0, dt)
 
 
 class TestPointVelocities:

@@ -687,12 +687,6 @@ class TestFarField:
         with pytest.raises(ValueError, match="radius must be finite"):
             far_field_deviation(ps, StrengthVector([1, -0.5, 1]), radius)
 
-    def test_uses_the_floor_of_the_given_point_set(self):
-        # a pair 1e-10 apart: valid above its own floor, not above the default
-        ps = PointSet([0j, 1e-10 + 0j, 1 + 0j, 2j], delta_min=1e-12)
-        g = np.array([1, 0.5, -0.25, 1j])
-        assert far_field_deviation(ps, g, 20.0) == reference_far_field(ps.positions, g, 20.0)
-
     def test_cancelling_total_has_no_far_field(self):
         z = np.exp(2j * np.pi * np.arange(7) / 7)
         sol = solve_strengths(PointSet(z))
