@@ -160,6 +160,15 @@ class ConfigurationMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def _adopt(cls, entries: ComplexArray) -> "ConfigurationMatrix":
+        """Wrap a square complex array that nothing else holds, without a
+        copy; the array is made read-only."""
+        entries.setflags(write=False)
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -194,4 +203,4 @@ def build_matrix(points: PointSet) -> ConfigurationMatrix:
     if not isinstance(points, PointSet):
         points = PointSet(points)
     diff = _differences(points.positions, *_pair_buffer(points.n))
-    return ConfigurationMatrix(np.divide(1.0, diff, out=diff))
+    return ConfigurationMatrix._adopt(np.divide(1.0, diff, out=diff))

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -45,22 +45,34 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-@cache
+#: The worker threads' pool, made by the first lattice of two or more
+#: shares, and the lock under which it is made, so that threads drawing
+#: their first such lattice at the same moment share one pool.
+_pool = None
+_pool_lock = threading.Lock()
+
+
 def _executor():
-    """The worker threads' pool, made by the first lattice of two or more shares.
+    """The process's one pool of worker threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so a process that draws no such lattice never loads it
+            from concurrent.futures import ThreadPoolExecutor
 
-    Threads that draw their first such lattice at the same moment may each
-    make a pool; the pools not kept run their shares, and their threads exit.
-    """
-    # imported here, so a process that draws no such lattice never loads it
-    from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_cpu_count() - 1)
+        return _pool
 
-    return ThreadPoolExecutor(_cpu_count() - 1)
+
+def _forget_executor() -> None:
+    """In a forked child: none of the pool's threads were copied, and a lock
+    held by another thread at the fork would never be released."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads, so it makes its own pool
-    os.register_at_fork(after_in_child=_executor.cache_clear)
+    os.register_at_fork(after_in_child=_forget_executor)
 
 
 @dataclass(frozen=True)

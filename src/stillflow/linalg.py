@@ -7,9 +7,9 @@ rounding error. Eigenvalues go through closed forms for exactly skew 2x2
 and 3x3 input and through the standard dense solver (Hessenberg reduction
 plus QR iteration, via numpy) otherwise, so the two spectral routes stay
 independent of each other. The Pfaffian has one route at every size,
-Householder congruence tridiagonalization, which also gives its phase and
-log-modulus; Pf(A)^2 = det(A) is checked against LU in log space, so the
-check holds where either side overflows a double.
+the Parlett-Reid skew LTL^T elimination with pivoting, whose factors also
+give its phase and log-modulus; Pf(A)^2 = det(A) is checked against LU in
+log space, so the check holds where either side overflows a double.
 """
 
 from __future__ import annotations
@@ -138,19 +138,22 @@ def eigenvalues(a) -> EigenResult:
     dense Hessenberg + QR solver. Either way eigenvalues of skew input
     come in +/- pairs.
     """
-    m = _as_square(a)
+    lam = _unsorted_eigenvalues(_as_square(a))
+    order = np.lexsort((np.angle(lam), -np.abs(lam)))
+    return EigenResult(_readonly(lam[order]))
+
+
+def _unsorted_eigenvalues(m: ComplexArray) -> ComplexArray:
+    """eigenvalues' values of a checked square matrix, in no set order."""
     n = m.shape[0]
     if n == 2 and _is_exactly_skew(m):
         root = 1j * m[0, 1]
-        lam = np.array([root, -root])
-    elif n == 3 and _is_exactly_skew(m):
+        return np.array([root, -root])
+    if n == 3 and _is_exactly_skew(m):
         s = m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2
         root = 1j * np.sqrt(np.complex128(s))
-        lam = np.array([0.0 + 0.0j, root, -root])
-    else:
-        lam = np.linalg.eigvals(m)
-    order = np.lexsort((np.angle(lam), -np.abs(lam)))
-    return EigenResult(_readonly(lam[order]))
+        return np.array([0.0 + 0.0j, root, -root])
+    return np.linalg.eigvals(m)
 
 
 def zero_eigenvalue_multiplicity(a) -> int:
@@ -161,7 +164,7 @@ def zero_eigenvalue_multiplicity(a) -> int:
     cutoff proportional to max |lambda| would then count almost nothing.
     """
     m = _as_square(a)
-    lam = eigenvalues(m).lambdas
+    lam = _unsorted_eigenvalues(m)
     scale = float(np.linalg.norm(m, "fro"))
     return int(np.count_nonzero(np.abs(lam) <= ZERO_EIG_TOL * scale * m.shape[0]))
 
@@ -195,32 +198,38 @@ def _check_skew(m: ComplexArray) -> None:
 
 
 def _pfaffian_factors(m: ComplexArray) -> tuple[float, ComplexArray]:
-    """Congruence tridiagonalization T = Q A Q^T by unitary Householder
-    reflectors. Returns det(Q) and T's entries t[k, k+1] for even k;
-    Pf(A) is det(Q) times their product."""
+    """Skew LTL^T elimination with pivoting (Parlett and Reid, BIT 10,
+    1970): P A P^T = L T L^T with L unit lower triangular and T
+    tridiagonal. Returns det(P) and T's entries t[k, k+1] for even k;
+    Pf(A) is det(P) times their product. A zero pivot leaves a zero factor
+    and ends the elimination."""
     n = m.shape[0]
     if n % 2:
         raise OddDimension(f"Pfaffian requires even dimension, got {n}")
     _check_skew(m)
     t = m.astype(np.complex128, copy=True)
-    det_q = 1.0
-    for k in range(n - 2):
-        x = t[k + 1:, k]
-        if np.linalg.norm(x[1:]) == 0.0:
-            continue
-        nx = np.linalg.norm(x)
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
-        v[0] += phase * nx
-        v /= np.linalg.norm(v)
-        # rows: H acting on the left of the trailing block
-        sub = t[k + 1:, :]
-        sub -= 2.0 * np.outer(v, v.conj() @ sub)
-        # columns: H^T (also unitary) acting on the right
-        sub = t[:, k + 1:]
-        sub -= 2.0 * np.outer(sub @ v.conj(), v)
-        det_q = -det_q
-    return det_q, t.diagonal(1)[::2].copy()
+    sign = 1.0
+    factors = np.zeros(n // 2, dtype=np.complex128)
+    for k in range(0, n, 2):
+        # the pivot: the largest entry below the diagonal in column k,
+        # brought to row and column k + 1
+        p = k + 1 + int(np.abs(t[k + 1:, k]).argmax())
+        if p != k + 1:
+            row = t[k + 1, k:].copy()
+            t[k + 1, k:], t[p, k:] = t[p, k:], row
+            col = t[k:, k + 1].copy()
+            t[k:, k + 1], t[k:, p] = t[k:, p], col
+            sign = -sign
+        pivot = t[k, k + 1]
+        if pivot == 0.0:
+            break
+        factors[k // 2] = pivot
+        if k + 2 < n:
+            # eliminate rows and columns k and k + 1 from the trailing block;
+            # the update is skew bit for bit, so an exactly skew block stays so
+            update = (t[k, k + 2:] / pivot)[:, None] * t[k + 2:, k + 1]
+            t[k + 2:, k + 2:] += update - update.T
+    return sign, factors
 
 
 def _pfaffian_polar(det_q: float, factors: ComplexArray) -> tuple[complex, float]:
@@ -246,11 +255,11 @@ def _pfaffian_value(det_q: float, factors: ComplexArray) -> complex:
 def pfaffian(a) -> complex:
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
-    Computed by Householder congruence tridiagonalization at every size
-    (a 2x2 matrix needs no reflector and gives a[0, 1]). Past the float
-    range the result is an infinity along its phase;
-    pfaffian_determinant_check compares Pf(A)^2 with det(A) in log space,
-    where nothing overflows.
+    Computed by skew LTL^T elimination with pivoting at every size: n/2
+    steps, each of which updates only the trailing block (a 2x2 matrix
+    gives a[0, 1]). Past the float range the result is an infinity along
+    its phase; pfaffian_determinant_check compares Pf(A)^2 with det(A) in
+    log space, where nothing overflows.
 
     Raises
     ------
@@ -281,8 +290,8 @@ class PfaffianCheck:
 def pfaffian_determinant_check(a) -> PfaffianCheck:
     """Verify Pf(A)^2 = det(A) on two independent computational routes.
 
-    The Pfaffian comes from the Householder reduction, the determinant from
-    LU (numpy's slogdet). consistent means |Pf^2 - det| <= PF_DET_TOL *
+    The Pfaffian comes from the skew LTL^T elimination, the determinant
+    from LU (numpy's slogdet). consistent means |Pf^2 - det| <= PF_DET_TOL *
     max(|Pf|^2, |det|), decided from the phases and the logarithms of the
     moduli, so it holds where Pf^2 or det overflow a double.
     """

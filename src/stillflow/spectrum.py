@@ -45,9 +45,9 @@ def _as_spectrum(sigma) -> FloatArray:
         raise ValueError(f"spectrum must be one-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("spectrum contains non-finite entries")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("singular values must be non-negative")
-    if np.any(np.diff(arr) > 0.0):
+    if (arr[1:] > arr[:-1]).any():
         raise ValueError("spectrum must be sorted descending")
     return arr
 
@@ -88,11 +88,11 @@ def shannon_entropy(sigma_normalized) -> float:
     p = np.asarray(sigma_normalized, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistribution("distribution must be a non-empty vector")
-    if not np.isfinite(p).all() or np.any(p <= 0.0):
+    if not np.isfinite(p).all() or (p <= 0.0).any():
         raise InvalidDistribution("distribution entries must be positive")
     if abs(p.sum() - 1.0) > 1e-9:
         raise InvalidDistribution(f"distribution sums to {p.sum()!r}, not 1")
-    return float(-np.sum(p * np.log(p)))
+    return float(-(p * np.log(p)).sum())
 
 
 def spectral_report(a, mode: str = "power", rel_tol: float = 1e-10) -> SpectralReport:

@@ -1,5 +1,6 @@
 """Configuration types and interaction matrix structure."""
 
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -145,6 +146,28 @@ class TestBuildMatrix:
         a = build_matrix(PointSet([0j, 1 + 0j]))
         with pytest.raises(ValueError):
             a.entries[0, 1] = 3.0
+
+    def test_result_is_the_only_n_by_n_array(self):
+        # a PointSet made first: a plain sequence's separation check has a
+        # peak of its own
+        points = PointSet(random_points(np.random.default_rng(14), 1000, min_gap=1e-6))
+        tracemalloc.start()
+        try:
+            a = build_matrix(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * a.entries.nbytes
+        assert not a.entries.flags.writeable
+        assert a.entries.tobytes() == upper_triangle_matrix(points.positions).tobytes()
+
+    def test_constructor_copies_the_callers_array(self):
+        entries = np.array([[0, -1], [1, 0]], dtype=np.complex128)
+        a = ConfigurationMatrix(entries)
+        assert not np.shares_memory(a.entries, entries)
+        assert entries.flags.writeable and not a.entries.flags.writeable
+        entries[0, 1] = 3.0
+        assert a.entries[0, 1] == -1
 
 
 @pytest.fixture

@@ -521,6 +521,71 @@ class TestLatticeShares:
             proc.join()
         assert not hung and proc.exitcode == 0
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
+    def test_forked_child_draws_while_the_pool_lock_is_held(self, monkeypatch):
+        # the lock is held across the fork; the child's copy would never be released
+        monkeypatch.setattr(field, "_cpu_count", lambda: 2)
+        z, g = RING
+        expected = velocity_grid(z, g, GRID_WINDOW, 60, 60).velocity.tobytes()
+
+        def child():
+            grid = velocity_grid(z, g, GRID_WINDOW, 60, 60)
+            sys.exit(0 if grid.velocity.tobytes() == expected else 3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        with field._pool_lock:
+            proc.start()
+        proc.join(timeout=30)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung and proc.exitcode == 0
+
+    def test_threads_starting_at_once_share_one_pool(self):
+        # in a fresh process, four threads draw their first split lattice at
+        # the same moment; every pool made is counted, and each takes 0.1 s
+        # to make, so the others arrive while the first is being made
+        script = textwrap.dedent("""
+            import threading
+            import time
+            from concurrent import futures
+            import numpy as np
+            import stillflow
+            from stillflow import field
+
+            made = []
+
+            class CountedPool(futures.ThreadPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    made.append(self)
+                    time.sleep(0.1)
+                    super().__init__(*args, **kwargs)
+
+            futures.ThreadPoolExecutor = CountedPool
+            field._cpu_count = lambda: 2
+            window = stillflow.Window(-1.0, 1.0, -1.0, 1.0)
+            ring = np.exp(2j * np.pi * np.arange(51) / 51)
+            barrier = threading.Barrier(4)
+
+            def draw():
+                barrier.wait()
+                stillflow.velocity_grid(ring, np.ones(51, complex), window, 60, 60)
+
+            callers = [threading.Thread(target=draw) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join()
+            print(len(made))
+        """)
+        src = Path(field.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
     def test_worker_threads_are_kept_for_the_process(self, monkeypatch):
         # a pool made per lattice, or a thread left behind by each lattice, shows here
         field_sum, caller = field._field_sum, threading.current_thread()

@@ -1,10 +1,13 @@
 """Singular decomposition, nullspace, eigenvalues, Pfaffian."""
 
 import cmath
+import random
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stillflow import (
     ConvergenceFailure,
@@ -62,6 +65,33 @@ def graded_matrix(rng, n, gap):
     z = random_points(rng, n, min_gap=2 * GAPS[0])
     z[1] = z[0] + gap * np.exp(2j * np.pi * rng.uniform())
     return build_matrix(z).entries
+
+
+#: Eight points, two of them 1.3e-8 apart: Householder tridiagonalization
+#: put Pf(A) 1.2e-8 off, and Pf^2 = det read as inconsistent.
+GRADED_EIGHT = np.array([
+    -0.5467834720872736 - 0.053496512855339524j, 0.13293677011533384 + 1.2153149804494732j,
+    1.038637649654726 + 0.2697737542482618j, -1.6230924416147121 - 0.16430732432527395j,
+    -1.5422467905883765 - 1.2821428368964098j, 0.1329367578295065 + 1.2153149753255161j,
+    -0.3952971913417674 - 1.1890597767480278j, -0.6675953913996012 + 0.6425687514635733j,
+])
+
+
+@st.composite
+def even_configurations(draw):
+    """2 to 16 points, at random or with one pair 1e-8 to 1e-1 apart, under
+    a random similarity z -> s z + b."""
+    n = draw(st.sampled_from(range(2, 17, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = draw(st.one_of(st.none(), st.floats(-8.0, -1.0)))
+    if gap is None:
+        z = random_points(rng, n)
+    else:
+        z = random_points(rng, n, min_gap=2 * GAPS[0])
+        i, j = rng.choice(n, 2, replace=False)
+        z[j] = z[i] + 10.0**gap * np.exp(2j * np.pi * rng.uniform())
+    s = 10.0 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.uniform())
+    return s * z + complex(*rng.uniform(-5, 5, 2))
 
 
 class TestSvd:
@@ -303,7 +333,7 @@ class TestPfaffianAndDeterminant:
             assert check.pfaffian ** 2 == pytest.approx(check.determinant, rel=1e-8)
 
     def test_expansion_and_reduction_routes_agree(self):
-        # the Householder reduction against the cofactor-expansion oracle
+        # the elimination against the cofactor-expansion oracle
         rng = np.random.default_rng(53)
         for n in (2, 4, 6, 8):
             for _ in range(5):
@@ -359,3 +389,33 @@ class TestPfaffianAndDeterminant:
         perm[[0, 1]] = perm[[1, 0]]
         b = a[np.ix_(perm, perm)]
         assert pfaffian(b) == pytest.approx(-pfaffian(a), rel=1e-10)
+
+    def test_graded_pair_is_consistent(self):
+        a = build_matrix(GRADED_EIGHT).entries
+        assert pfaffian_determinant_check(a).consistent is True
+        assert pfaffian(a) == pytest.approx(pfaffian_by_expansion(a), rel=1e-12)
+
+
+class TestPfaffianProperties:
+    """Pf^2 = det, Pf(P A P^T) = det(P) Pf(A) and Pf(A (+) J) = Pf(A), and
+    the expansion oracle for N <= 8, over random and graded even
+    configurations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(even_configurations(), st.randoms(use_true_random=False))
+    @example(GRADED_EIGHT, random.Random(0))
+    def test_pfaffian_properties(self, z, rnd):
+        a = build_matrix(z).entries
+        n = a.shape[0]
+        pf = pfaffian(a)
+        assert pfaffian_determinant_check(a).consistent
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        sign = round(np.linalg.det(np.eye(n)[perm]).real)
+        assert pfaffian(a[np.ix_(perm, perm)]) == pytest.approx(sign * pf, rel=1e-12)
+        padded = np.zeros((n + 2, n + 2), dtype=complex)
+        padded[:n, :n] = a
+        padded[n, n + 1], padded[n + 1, n] = 1, -1
+        assert pfaffian(padded) == pytest.approx(pf, rel=1e-14)
+        if n <= 8:
+            assert pf == pytest.approx(pfaffian_by_expansion(a), rel=1e-12)
