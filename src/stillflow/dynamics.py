@@ -20,7 +20,7 @@ from .core import DELTA_MIN_DEFAULT, ComplexArray, FloatArray, _differences, _pa
 from .errors import CollapseReached, CollisionAbort
 from .field import _field_sum, _inputs
 
-#: Most positions integrate records, (steps + 1) x N: 256 MB of trajectory.
+#: Most step positions, (steps + 1) x N, a run may take (a tracer is N = 1).
 #: The default verify (1000 steps) fits up to MAX_POINTS points.
 MAX_TRAJECTORY_POSITIONS = 2**24
 
@@ -105,12 +105,13 @@ def integrate_tracer(p: OrbitParams, t_final: float, dt: float = 1e-4) -> tuple[
     Raises
     ------
     ValueError
-        Unless t_final is finite and non-negative and dt finite and positive.
+        Unless t_final >= 0 and dt > 0 are finite and the run fits MAX_TRAJECTORY_POSITIONS.
     CollapseReached
         When a stage reaches r <= 0, as a sink does at its collapse time.
     """
     if not (0.0 <= t_final < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"need finite t_final >= 0 and dt > 0, got t_final={t_final}, dt={dt}")
+    _step_bound(t_final, dt, 1)
     gr, gi = p.gamma.real, p.gamma.imag
     two_pi = 2.0 * math.pi
 
@@ -148,41 +149,23 @@ def point_velocities(points, strengths) -> ComplexArray:
     return _field_sum(_differences(z, *_pair_buffer(z.size)), gamma)
 
 
-def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> TrajectorySet:
-    """Classical fixed-step RK4 on the N-singularity system.
+def _step_bound(t_final: float, dt: float, n: int) -> float:
+    """ceil(t_final / dt), unless (steps + 1) x n exceeds MAX_TRAJECTORY_POSITIONS."""
+    steps = -(-t_final // dt)  # a float ceil, so an infinite quotient is refused too
+    if (steps + 1.0) * n > MAX_TRAJECTORY_POSITIONS:
+        raise ValueError(f"{steps:.6g} steps of {n} points would record more than"
+                         f" {MAX_TRAJECTORY_POSITIONS} positions")
+    return steps
 
-    Near-collision events (pair distance under 10x the separation floor)
-    are recorded once per pair; contact below the floor itself aborts. The
-    step is also aborted when any RK4 stage would move a point by more
-    than a quarter of the current closest separation: past that the pair
-    distance can change faster than the collision check samples it, which
-    is exactly the blow-up regime near a collapsing pair.
 
-    The work arrays (one n x n difference matrix and its moduli, the four
-    stages and their moduli, one stage input) are allocated once per call
-    and filled in place, so a step allocates only the new positions and an
-    n-vector per stage. Every step makes the same floating-point operations
-    in the same order as forming each stage afresh.
-
-    Raises
-    ------
-    ValueError
-        Unless t_final and dt are finite and positive, the configuration
-        has at most MAX_POINTS points and the trajectory at most
-        MAX_TRAJECTORY_POSITIONS positions; nothing is allocated first.
-    CollisionAbort
-        Carrying (time, pair, distance) of the offending pair.
-    """
+def _rk4_run(points, strengths, t_final: float, dt: float):
+    """integrate's and fixedness_check's RK4 run. next() first checks, allocates
+    and yields (z0, ceil(t_final / dt), events), then (t, z) after each step."""
     if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"need finite t_final > 0 and dt > 0, got t_final={t_final}, dt={dt}")
     z, gamma = _inputs(points, strengths)
     n = z.size
-    # -(-t_final // dt) is ceil(t_final / dt), in floating point, so that an
-    # infinite quotient is refused too
-    steps = -(-t_final // dt)
-    if (steps + 1.0) * n > MAX_TRAJECTORY_POSITIONS:
-        raise ValueError(f"{steps:.6g} steps of {n} points would record more than"
-                         f" {MAX_TRAJECTORY_POSITIONS} positions")
+    steps = _step_bound(t_final, dt, n)
 
     diff, diag = _pair_buffer(n)
     gap = np.empty((n, n))
@@ -191,12 +174,9 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     k1, k2, k3, k4 = stages
     speed = np.empty((4, n))
     work = np.empty(n, dtype=np.complex128)
-
-    times = [0.0]
-    history = [z]
     events: list[CollisionEvent] = []
     warned: set[tuple[int, int]] = set()
-
+    yield z, steps, events
     t = 0.0
     while t < t_final - 1e-12 * max(t_final, 1.0):
         h = min(dt, t_final - t)
@@ -237,21 +217,50 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
         np.add(work, k4, out=work)
         z = z + np.multiply(h / 6.0, work, out=work)
         t += h
-        times.append(t)
-        history.append(z)
+        yield t, z
 
-    times_arr = np.asarray(times)
-    pos = np.asarray(history)
-    times_arr.setflags(write=False)
-    pos.setflags(write=False)
-    return TrajectorySet(times_arr, pos, tuple(events))
+
+def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> TrajectorySet:
+    """Classical fixed-step RK4 on the N-singularity system, every step kept.
+
+    Near-collision events (pair distance under 10x the separation floor)
+    are recorded once per pair. Contact below the floor aborts, and so does
+    a step whose RK4 stages would move a point by more than a quarter of the
+    closest separation: past that, as near a collapsing pair, the distance
+    can change faster than the collision check samples it.
+
+    Raises
+    ------
+    ValueError
+        Unless t_final and dt are finite and positive, the configuration
+        has at most MAX_POINTS points and the trajectory at most
+        MAX_TRAJECTORY_POSITIONS positions; nothing is allocated first.
+    CollisionAbort
+        Carrying (time, pair, distance) of the offending pair.
+    """
+    run = _rk4_run(points, strengths, t_final, dt)
+    z, steps, events = next(run)
+    # rounding in t can take one step more than ceil(t_final / dt)
+    times = np.zeros(int(steps) + 2)
+    positions = np.empty((times.size, z.size), dtype=np.complex128)
+    positions[0] = z
+    k = 0
+    for k, (t, z) in enumerate(run, 1):
+        times[k], positions[k] = t, z
+    times, positions = times[: k + 1], positions[: k + 1]
+    times.setflags(write=False)
+    positions.setflags(write=False)
+    return TrajectorySet(times, positions, tuple(events))
 
 
 def fixedness_check(points, strengths, t_final: float = 1.0, dt: float = 1e-3) -> float:
-    """Max displacement of any point from its start over the whole run.
-
-    Solved equilibria stay below integrator accuracy (around 1e-8 over
-    unit time); anything materially above that is not an equilibrium.
-    """
-    traj = integrate(points, strengths, t_final, dt)
-    return float(np.abs(traj.positions - traj.positions[0]).max())
+    """Max displacement of any point from its start over the run integrate
+    takes, with the same checks and aborts but no trajectory kept. Solved
+    equilibria stay below integrator accuracy (around 1e-8 over unit time);
+    anything materially above that is not an equilibrium."""
+    run = _rk4_run(points, strengths, t_final, dt)
+    z0 = next(run)[0]
+    far = np.zeros(z0.size)
+    for _, z in run:
+        np.maximum(far, np.abs(z - z0), out=far)
+    return float(far.max())

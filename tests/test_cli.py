@@ -448,6 +448,9 @@ class TestOutOfRangeArguments:
         ["field", "--window", " -1", "1", " -1.7e308", "1e308", "--nx", "3", "--ny", "2"],
         # 10**9 steps: more trajectory than MAX_TRAJECTORY_POSITIONS
         ["verify", "--dt", "1e-9"],
+        # 10**12 tracer steps, and an infinite count: refused before the first
+        ["orbit", "--gamma", "1", "0", "--r0", "1", "--dt", "1e-12"],
+        ["orbit", "--gamma", "1", "0", "--r0", "1", "--dt", "5e-324"],
     ])
     def test_value_error_exits_2(self, tmp_path, capsys, args):
         if args[0] != "orbit":

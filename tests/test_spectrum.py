@@ -171,6 +171,28 @@ def same_bits(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+class TestRegularPolygon:
+    """The regular N-gon in closed form: on the unit circle its singular
+    values are |N - 1 - 2j| / 2 for j = 0 ... N - 1, and a similarity
+    z -> a z + b divides them by |a| and leaves the distribution alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.integers(2, 60), st.sampled_from([101, 201])),
+           st.floats(-3, 3), st.floats(0, 2 * np.pi), st.floats(-2, 2), st.floats(-2, 2))
+    def test_closed_form_under_similarity(self, n, log_scale, angle, bx, by):
+        unit = np.exp(2j * np.pi * np.arange(n) / n)
+        a = 10.0**log_scale * np.exp(1j * angle)
+        # b is a multiple of a, so the moved points keep the circle's relative
+        # rounding: an offset of 5 on a radius of 1e-3 would lose 1e-12 of it
+        rep = spectral_report(build_matrix(a * unit + a * complex(bx, by)))
+        base = spectral_report(build_matrix(unit))
+        sigma = np.sort(np.abs(n - 1 - 2 * np.arange(n)) / 2)[::-1]
+        assert np.abs(rep.sigma_raw * abs(a) - sigma).max() <= 1e-13 * sigma[0]
+        assert rep.rank == n - n % 2
+        assert np.abs(rep.sigma_normalized - base.sigma_normalized).max() <= 1e-13
+        assert abs(rep.entropy - base.entropy) <= 1e-13 * base.entropy
+
+
 class TestReportFromSolution:
     @settings(max_examples=150, deadline=None)
     @given(configurations(), st.sampled_from(["power", "linear"]),
