@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import PointSet, StrengthVector, build_matrix
+from .core import PointSet, as_positions, as_strength_values, build_matrix
 from .dynamics import OrbitParams, fixedness_check, integrate_tracer, single_orbit
 from .equilibrium import (
     center_of_vorticity,
@@ -125,10 +125,9 @@ def load_configuration(path: str):
 
 
 def configuration_tree(points, strengths=None, metadata=None) -> dict:
-    tree = {"points": _pairs(points.positions if isinstance(points, PointSet) else points)}
+    tree = {"points": _pairs(as_positions(points))}
     if strengths is not None:
-        values = strengths.values if isinstance(strengths, StrengthVector) else strengths
-        tree["strengths"] = _pairs(values)
+        tree["strengths"] = _pairs(as_strength_values(strengths))
     if metadata:
         tree["metadata"] = metadata
     return tree

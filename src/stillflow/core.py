@@ -53,6 +53,27 @@ def as_strength_values(strengths) -> ComplexArray:
     return _as_complex_vector(strengths, "strengths")
 
 
+def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray]:
+    """Positions and strengths of the same size."""
+    positions, gamma = as_positions(points), as_strength_values(strengths)
+    if positions.size != gamma.size:
+        raise ValueError(f"{positions.size} points but {gamma.size} strengths")
+    return positions, gamma
+
+
+def _closest_pair(gap: FloatArray) -> tuple[int, int]:
+    """(a, b), a < b, of the first least entry of a symmetric gap with an inf diagonal."""
+    return divmod(int(gap.argmin()), gap.shape[0])
+
+
+def _check_separation(gap: FloatArray) -> None:
+    """Refuse separations gap that hold a pair closer than the floor."""
+    a, b = _closest_pair(gap)
+    if gap[a, b] < DELTA_MIN_DEFAULT:
+        raise DegenerateConfiguration(f"points {a} and {b} are separated by {gap[a, b]:.3e}"
+                                      f" (< delta_min {DELTA_MIN_DEFAULT:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Ordered, pairwise-distinct singularity positions.
@@ -70,13 +91,7 @@ class PointSet:
         object.__setattr__(self, "positions", _as_complex_vector(self.positions, "positions"))
         if self.positions.size < 2:
             raise ValueError(f"need at least 2 points, got {self.positions.size}")
-        gap = pairwise_distances(self.positions)
-        a, b = divmod(int(np.argmin(gap)), gap.shape[0])
-        if gap[a, b] < DELTA_MIN_DEFAULT:
-            raise DegenerateConfiguration(
-                f"points {a} and {b} are separated by {gap[a, b]:.3e}"
-                f" (< delta_min {DELTA_MIN_DEFAULT:.3e})"
-            )
+        _check_separation(pairwise_distances(self.positions))
 
     @property
     def n(self) -> int:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DELTA_MIN_DEFAULT, ComplexArray, FloatArray, _differences, _pair_buffer
+from .core import (DELTA_MIN_DEFAULT, ComplexArray, FloatArray, PointSet, _check_separation,
+                   _closest_pair, _differences, _inputs, _pair_buffer)
 from .errors import CollapseReached, CollisionAbort
-from .field import _field_sum, _inputs
+from .field import _field_sum
 
 #: Most step positions, (steps + 1) x N, a run may take (a tracer is N = 1).
 #: The default verify (1000 steps) fits up to MAX_POINTS points.
@@ -141,20 +142,24 @@ def point_velocities(points, strengths) -> ComplexArray:
     """Velocity of every singularity under all the others (self excluded).
 
     Componentwise this is conj((A Gamma)_a / (2 pi i)), so it vanishes
-    exactly on equilibria. A single point never moves itself.
+    exactly on equilibria. A single point never moves itself. Plain
+    positions closer than the separation floor raise DegenerateConfiguration.
     """
     z, gamma = _inputs(points, strengths)
     if z.size == 1:
         return np.zeros(1, dtype=np.complex128)
-    return _field_sum(_differences(z, *_pair_buffer(z.size)), gamma)
+    diff = _differences(z, *_pair_buffer(z.size))
+    if not isinstance(points, PointSet):
+        _check_separation(np.abs(diff))
+    return _field_sum(diff, gamma)
 
 
 def _step_bound(t_final: float, dt: float, n: int) -> float:
     """ceil(t_final / dt), unless (steps + 1) x n exceeds MAX_TRAJECTORY_POSITIONS."""
     steps = -(-t_final // dt)  # a float ceil, so an infinite quotient is refused too
-    if (steps + 1.0) * n > MAX_TRAJECTORY_POSITIONS:
-        raise ValueError(f"{steps:.6g} steps of {n} points would record more than"
-                         f" {MAX_TRAJECTORY_POSITIONS} positions")
+    if (needed := (steps + 1.0) * n) > MAX_TRAJECTORY_POSITIONS:
+        raise ValueError(f"{steps:.6g} steps of {n} point{'s' * (n != 1)} need {needed:.6g}"
+                         f" step positions, more than the bound of {MAX_TRAJECTORY_POSITIONS}")
     return steps
 
 
@@ -169,7 +174,6 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
 
     diff, diag = _pair_buffer(n)
     gap = np.empty((n, n))
-    gap_flat = gap.reshape(-1)
     stages = np.zeros((4, n), dtype=np.complex128)
     k1, k2, k3, k4 = stages
     speed = np.empty((4, n))
@@ -183,16 +187,11 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
         # a lone point never moves: its stages stay zero
         if n > 1:
             np.abs(_differences(z, diff, diag), out=gap)
-            nearest = int(gap_flat.argmin())
-            sep = float(gap_flat[nearest])
-            a, b = divmod(nearest, n)
-            pair = (min(a, b), max(a, b))
+            pair = _closest_pair(gap)
+            sep = float(gap[pair])
             if sep < DELTA_MIN_DEFAULT:
-                raise CollisionAbort(
-                    f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
-                    f" (distance {sep:.3e})",
-                    time=t, pair=pair, distance=sep,
-                )
+                raise CollisionAbort(f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
+                                     f" (distance {sep:.3e})", time=t, pair=pair, distance=sep)
             if sep < 10.0 * DELTA_MIN_DEFAULT and pair not in warned:
                 warned.add(pair)
                 events.append(CollisionEvent(t, pair, sep))

@@ -20,6 +20,7 @@ from .core import (
     DELTA_MIN_DEFAULT,
     PointSet,
     StrengthVector,
+    _inputs,
     as_strength_values,
     build_matrix,
 )
@@ -85,9 +86,9 @@ def normalize_leading(values) -> StrengthVector:
 
 
 def residual(a: ConfigurationMatrix, strengths) -> float:
-    """Equilibrium defect |A Gamma| / |Gamma| in the 2-norm."""
+    """Equilibrium defect |A Gamma| / |Gamma| in the 2-norm; A must be square and finite."""
     gamma = as_strength_values(strengths)
-    m = a.entries if isinstance(a, ConfigurationMatrix) else np.asarray(a, dtype=np.complex128)
+    m = linalg._as_square(a)
     if m.shape[1] != gamma.size:
         raise ValueError(f"matrix is {m.shape}, strengths have length {gamma.size}")
     norm = float(np.linalg.norm(gamma))
@@ -110,13 +111,11 @@ def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
     NoEquilibrium
         If the kernel is trivial (possible only for even point counts).
     """
-    if not isinstance(points, PointSet):
-        points = PointSet(points)
     a = build_matrix(points)
     report = linalg.nullspace(a, rel_tol=rel_tol)
     if report.nullity == 0:
         raise NoEquilibrium(
-            f"configuration of {points.n} points has a trivial kernel"
+            f"configuration of {a.n} points has a trivial kernel"
             f" (smallest singular value {report.sigma[-1]:.3e}"
             f" above threshold {report.threshold:.3e})"
         )
@@ -176,11 +175,7 @@ def triangle_eigenvalues(z: complex) -> linalg.EigenResult:
     if abs(z) < DELTA_MIN_DEFAULT or abs(z - 1.0) < DELTA_MIN_DEFAULT:
         raise DegenerateConfiguration(f"triangle apex {z} collides with a base point")
     root = 1j * (1.0 - z + z * z) / (z * (1.0 - z))
-    lam = np.array([0.0 + 0.0j, root, -root])
-    order = np.lexsort((np.angle(lam), -np.abs(lam)))
-    out = lam[order]
-    out.setflags(write=False)
-    return linalg.EigenResult(out)
+    return linalg._by_modulus(np.array([0.0 + 0.0j, root, -root]))
 
 
 def _classify(s: complex, scale: float) -> str:
@@ -226,10 +221,7 @@ def center_of_vorticity(points, strengths) -> CenterOfVorticity:
     center is undefined (defined=False, value=None); the raw moment
     sum(Gamma z) is reported either way.
     """
-    z = points.positions if isinstance(points, PointSet) else PointSet(points).positions
-    gamma = as_strength_values(strengths)
-    if z.size != gamma.size:
-        raise ValueError(f"{z.size} points but {gamma.size} strengths")
+    z, gamma = _inputs(points if isinstance(points, PointSet) else PointSet(points), strengths)
     moment = complex((gamma * z).sum())
     total = complex(gamma.sum())
     if abs(total) <= CENTER_TOL * float(np.abs(gamma).sum()):

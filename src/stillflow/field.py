@@ -23,8 +23,8 @@ from .core import (
     DELTA_MIN_DEFAULT,
     FloatArray,
     PointSet,
+    _inputs,
     as_positions,
-    as_strength_values,
 )
 from .equilibrium import center_of_vorticity
 from .errors import SingularPoint, UndefinedFarField
@@ -124,15 +124,6 @@ def default_window(points) -> Window:
     y_min, y_max = float(z.imag.min()), float(z.imag.max())
     pad = 0.5 * max(x_max - x_min, y_max - y_min, 1.0)
     return Window(x_min - pad, x_max + pad, y_min - pad, y_max + pad)
-
-
-def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray]:
-    """Positions and strengths of the same size."""
-    positions = as_positions(points)
-    gamma = as_strength_values(strengths)
-    if positions.size != gamma.size:
-        raise ValueError(f"{positions.size} points but {gamma.size} strengths")
-    return positions, gamma
 
 
 def _field_sum(diff: ComplexArray, gamma: ComplexArray, out=None):
@@ -372,23 +363,22 @@ def far_field_deviation(points, strengths, radius: float) -> float:
     Raises
     ------
     UndefinedFarField
-        When the total strength cancels (no single-singularity far field).
+        When the total strength cancels below CENTER_TOL (no single far field).
     ValueError
         If the radius is not finite or is inside three configuration
         diameters.
     """
     positions, gamma = _inputs(points, strengths)
-    total = complex(gamma.sum())
-    if abs(total) <= 1e-9 * float(np.abs(gamma).sum()):
-        raise UndefinedFarField("total strength cancels; far field decays faster than 1/r")
     points = points if isinstance(points, PointSet) else PointSet(positions)
-    center = center_of_vorticity(points, gamma).value
+    cov = center_of_vorticity(points, gamma)
+    if not cov.defined:
+        raise UndefinedFarField("total strength cancels; far field decays faster than 1/r")
     diameter = points.diameter()
     if not 3.0 * diameter <= radius < math.inf:
         raise ValueError(f"radius must be finite and at least 3x the configuration"
                          f" diameter {diameter:.3g}, got {radius}")
     angles = 2.0 * math.pi * np.arange(64) / 64
-    probes = (center + radius * np.exp(1j * angles))[:, None]
+    probes = (cov.value + radius * np.exp(1j * angles))[:, None]
     v_conf = _field_sum(probes - positions, gamma)
-    v_single = _field_sum(probes - center, np.array([total]))
+    v_single = _field_sum(probes - cov.value, gamma.sum(keepdims=True))
     return float((np.abs(v_conf - v_single) / np.abs(v_single)).max())

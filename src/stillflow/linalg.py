@@ -138,9 +138,12 @@ def eigenvalues(a) -> EigenResult:
     dense Hessenberg + QR solver. Either way eigenvalues of skew input
     come in +/- pairs.
     """
-    lam = _unsorted_eigenvalues(_as_square(a))
-    order = np.lexsort((np.angle(lam), -np.abs(lam)))
-    return EigenResult(_readonly(lam[order]))
+    return _by_modulus(_unsorted_eigenvalues(_as_square(a)))
+
+
+def _by_modulus(lam: ComplexArray) -> EigenResult:
+    """lam sorted by magnitude descending then argument ascending, read-only."""
+    return EigenResult(_readonly(lam[np.lexsort((np.angle(lam), -np.abs(lam)))]))
 
 
 def _unsorted_eigenvalues(m: ComplexArray) -> ComplexArray:

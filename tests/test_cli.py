@@ -29,6 +29,8 @@ from stillflow.cli import (
     main,
 )
 
+from known_configurations import polygon_plus_centre
+
 
 def write_config(path, points, strengths=None, metadata=None):
     tree = {"points": [[z.real, z.imag] for z in points]}
@@ -243,6 +245,12 @@ class TestSolve:
         assert main(["solve", "--in", cfg, "--mode", "linear"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["spectrum"]["mode"] == "linear"
+
+    def test_even_configuration_with_a_kernel(self, tmp_path, capsys):
+        # the 7-gon plus its centre: N = 8 with a two-dimensional kernel
+        cfg = write_config(tmp_path / "c.json", polygon_plus_centre(7)[0])
+        assert main(["solve", "--in", cfg]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["solution"]["nullity"] == 2
 
     def test_two_points_exit_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", [0j, 1 + 0j])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stillflow import (
     CollapseReached,
     CollisionAbort,
+    DegenerateConfiguration,
     OrbitParams,
     PointSet,
     StrengthVector,
@@ -288,7 +289,8 @@ class TestBounds:
         monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_POSITIONS", 15)
         assert integrate(self.Z, self.G, 1.0, 0.25).positions.shape == (5, 3)
         monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_POSITIONS", 14)
-        with pytest.raises(ValueError, match="4 steps of 3 points would record more than 14"):
+        with pytest.raises(ValueError, match="4 steps of 3 points need 15 step positions,"
+                                             " more than the bound of 14"):
             integrate(self.Z, self.G, 1.0, 0.25)
 
     @pytest.mark.parametrize("dt", [1e-9, 5e-324])
@@ -303,7 +305,8 @@ class TestBounds:
         monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_POSITIONS", 5)
         assert integrate_tracer(p, 1.0, 0.25) == reference_tracer(p, 1.0, 0.25)
         monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_POSITIONS", 4)
-        with pytest.raises(ValueError, match="4 steps of 1 points would record more than 4"):
+        with pytest.raises(ValueError, match="4 steps of 1 point need 5 step positions,"
+                                             " more than the bound of 4"):
             integrate_tracer(p, 1.0, 0.25)
 
 
@@ -335,6 +338,15 @@ class TestPointVelocities:
     def test_single_point_is_still(self):
         v = point_velocities([0j], [1 + 0j])
         assert v.shape == (1,) and v[0] == 0
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12])
+    def test_plain_points_within_the_floor_are_refused(self, gap):
+        # as PointSet refuses them, and integrate aborts at t = 0
+        z, g = [0j, complex(gap)], [1 + 0j, 1 + 0j]
+        with pytest.raises(DegenerateConfiguration, match="points 0 and 1 are separated by"):
+            point_velocities(z, g)
+        with pytest.raises(CollisionAbort, match="collided at t = 0 "):
+            integrate(z, g, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.9, 1.0]),
