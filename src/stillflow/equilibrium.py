@@ -104,7 +104,12 @@ def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
     rank decision; the first basis vector, normalized to leading entry
     1+0i, is returned as the representative solution. Both the geometric
     kernel dimension and the algebraic count of near-zero eigenvalues are
-    reported, since they differ on degenerate configurations.
+    reported, since they differ on degenerate configurations. At nullity 1
+    the count is read from that SVD when its certificate holds (random,
+    graded and collinear inputs of up to a few tens of points); the
+    regular odd polygons, larger nullities and inputs with eigenvalues
+    near the count's cutoff take a dense eigenvalue solve instead. Both
+    routes give the same count.
 
     Raises
     ------
@@ -120,10 +125,13 @@ def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
             f" above threshold {report.threshold:.3e})"
         )
     strengths = normalize_leading(report.basis[:, 0])
+    count = linalg._certified_zero_count(report)
+    if count is None:
+        count = linalg.zero_eigenvalue_multiplicity(a)
     return EquilibriumSolution(
         strengths=strengths,
         residual=residual(a, strengths),
-        zero_eigenvalue_multiplicity=linalg.zero_eigenvalue_multiplicity(a),
+        zero_eigenvalue_multiplicity=count,
         kernel=report,
     )
 
@@ -147,6 +155,15 @@ def collinear_three_closed_form(x1: float, x2: float, x3: float) -> StrengthVect
     return StrengthVector(np.array([1.0, g2, g3], dtype=np.complex128))
 
 
+def _triangle_apex(z) -> complex:
+    """z as a complex apex of the triangle (0, 1, z), refused within the
+    separation floor of either base point."""
+    z = complex(z)
+    if abs(z) < DELTA_MIN_DEFAULT or abs(z - 1.0) < DELTA_MIN_DEFAULT:
+        raise DegenerateConfiguration(f"triangle apex {z} collides with a base point")
+    return z
+
+
 def triangle_closed_form(z: complex) -> StrengthVector:
     """Equilibrium strengths for the triangle configuration (0, 1, z).
 
@@ -155,9 +172,7 @@ def triangle_closed_form(z: complex) -> StrengthVector:
     Every z off the real segment endpoints works, including collinear
     placements, where the result matches the three-point real formula.
     """
-    z = complex(z)
-    if abs(z) < DELTA_MIN_DEFAULT or abs(z - 1.0) < DELTA_MIN_DEFAULT:
-        raise DegenerateConfiguration(f"triangle apex {z} collides with a base point")
+    z = _triangle_apex(z)
     raw = np.array([1.0 / (z - 1.0), -1.0 / z, 1.0], dtype=np.complex128)
     return normalize_leading(raw)
 
@@ -171,9 +186,7 @@ def triangle_eigenvalues(z: complex) -> linalg.EigenResult:
     avoids the cancellation that limits matrix-side eigensolvers to about
     1e-8 there, and lands at rounding level instead.
     """
-    z = complex(z)
-    if abs(z) < DELTA_MIN_DEFAULT or abs(z - 1.0) < DELTA_MIN_DEFAULT:
-        raise DegenerateConfiguration(f"triangle apex {z} collides with a base point")
+    z = _triangle_apex(z)
     root = 1j * (1.0 - z + z * z) / (z * (1.0 - z))
     return linalg._by_modulus(np.array([0.0 + 0.0j, root, -root]))
 

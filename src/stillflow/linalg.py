@@ -6,7 +6,8 @@ equilibria reads its singular values against a threshold far above their
 rounding error. Eigenvalues go through closed forms for exactly skew 2x2
 and 3x3 input and through the standard dense solver (Hessenberg reduction
 plus QR iteration, via numpy) otherwise, so the two spectral routes stay
-independent of each other. The Pfaffian has one route at every size,
+independent of each other; at nullity 1 a certificate on the SVD alone can
+stand in for the eigenvalue solve's zero count. The Pfaffian has one route at every size,
 the Parlett-Reid skew LTL^T elimination with pivoting, whose factors also
 give its phase and log-modulus; Pf(A)^2 = det(A) is checked against LU in
 log space, so the check holds where either side overflows a double.
@@ -77,6 +78,16 @@ class RankReport:
     sigma: FloatArray
 
 
+def _lapack_svd(a) -> tuple[ComplexArray, FloatArray, ComplexArray]:
+    """numpy's (u, sigma, vh) of a checked square matrix; ConvergenceFailure
+    if LAPACK does not converge."""
+    m = _as_square(a)
+    try:
+        return np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge (n={m.shape[0]}): {exc}") from exc
+
+
 def svd(a) -> SvdResult:
     """Singular value decomposition of a square matrix by LAPACK, via numpy.
 
@@ -85,11 +96,7 @@ def svd(a) -> SvdResult:
     (1e-10 * sigma_max * n), so the rank decision needs no Jacobi method's
     relative accuracy. Raises ConvergenceFailure if LAPACK does not converge.
     """
-    m = _as_square(a)
-    try:
-        u, sigma, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge (n={m.shape[0]}): {exc}") from exc
+    u, sigma, vh = _lapack_svd(a)
     return SvdResult(_readonly(u), _readonly(sigma), _readonly(vh.conj().T))
 
 
@@ -114,15 +121,16 @@ def nullspace(a, rel_tol: float = 1e-10) -> RankReport:
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    res = svd(a)
-    n = res.sigma.size
-    smax = float(res.sigma[0]) if n else 0.0
+    _, sigma, vh = _lapack_svd(a)
+    n = sigma.size
+    smax = float(sigma[0]) if n else 0.0
     threshold = rel_tol * smax * n if smax > 0.0 else 1e-300
-    rank = int(np.count_nonzero(res.sigma > threshold))
+    rank = int(np.count_nonzero(sigma > threshold))
     if rank % 2:
         rank -= 1
-    basis = res.v[:, rank:]
-    return RankReport(rank, n - rank, threshold, _readonly(basis), res.sigma)
+    # only the kernel rows of V' are conjugated and copied, not all of V
+    basis = vh[rank:].conj().T
+    return RankReport(rank, n - rank, threshold, _readonly(basis), _readonly(sigma))
 
 
 def _is_exactly_skew(m: ComplexArray) -> bool:
@@ -165,11 +173,42 @@ def zero_eigenvalue_multiplicity(a) -> int:
     The cutoff is relative to the matrix scale rather than to max |lambda|:
     a defective matrix can have every eigenvalue collapsed near zero, and a
     cutoff proportional to max |lambda| would then count almost nothing.
+    The count takes a dense eigenvalue solve (closed forms at n = 2 and 3);
+    solve_strengths calls it only where _certified_zero_count declines.
     """
     m = _as_square(a)
     lam = _unsorted_eigenvalues(m)
     scale = float(np.linalg.norm(m, "fro"))
     return int(np.count_nonzero(np.abs(lam) <= ZERO_EIG_TOL * scale * m.shape[0]))
+
+
+#: How far, as a factor, _certified_zero_count needs the kernel side below
+#: the zero count's cutoff and every nonzero eigenvalue above it.
+_CERTIFICATE_MARGIN = 1e3
+
+
+def _certified_zero_count(report: RankReport) -> int | None:
+    """zero_eigenvalue_multiplicity of a skew matrix, read from its rank
+    report alone, or None where the report cannot vouch for it.
+
+    At nullity 1 with V = [V1 v0] and U = [U1 u0], the nonzero eigenvalues
+    of A = U1 S1 V1' are those of S1 V1' U1, so each has modulus at least
+    sigma[rank - 1] * sigma_min(V1' U1). Skew symmetry makes conj(v0) the
+    left null vector, and by the CS decomposition sigma_min(V1' U1) is then
+    |v0^T v0|. The count is the nullity when the kernel side lies far below
+    the cutoff ZERO_EIG_TOL * ||A||_F * n and that bound far above it, each
+    by _CERTIFICATE_MARGIN. The regular odd polygons, where v0^T v0 = 0,
+    and every nullity but 1 decline.
+    """
+    if report.nullity != 1:
+        return None
+    sigma, rank = report.sigma, report.rank
+    cut = ZERO_EIG_TOL * math.sqrt(float(sigma @ sigma)) * sigma.size
+    v0 = report.basis[:, 0]
+    if (sigma[rank] * _CERTIFICATE_MARGIN <= cut
+            and sigma[rank - 1] * abs(v0 @ v0) >= _CERTIFICATE_MARGIN * cut):
+        return report.nullity
+    return None
 
 
 #: Largest x whose exponential is a finite double.

@@ -613,6 +613,34 @@ class TestOneFactorization:
         assert report["spectrum"]["rank"] == 6
 
 
+class TestZeroCountRoute:
+    """solve reads the zero count from its SVD where the certificate holds
+    and runs the eigenvalue solver only where it declines."""
+
+    @pytest.mark.parametrize("generate, eigvals_calls", [
+        (["--plane", "--n", "9", "--seed", "3"], 0),
+        (["--circle", "--n", "7"], 1),
+    ])
+    def test_eigvals_only_where_the_certificate_declines(self, tmp_path, capsys, monkeypatch,
+                                                         generate, eigvals_calls):
+        cfg = tmp_path / "c.json"
+        main(["generate", *generate, "--out", str(cfg)])
+        calls = {"svd": 0, "eigvals": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        capsys.readouterr()
+        assert main(["solve", "--in", str(cfg)]) == EXIT_OK
+        assert calls == {"svd": 1, "eigvals": eigvals_calls}
+        assert json.loads(capsys.readouterr().out)["solution"]["nullity"] == 1
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_writes_output(self, tmp_path):
         out = tmp_path / "m.json"

@@ -193,6 +193,14 @@ class TestTriangleEigenvalues:
             scale = max(np.abs(lam_m).max(), 1.0)
             assert np.abs(lam_f - lam_m).max() <= 1e-6 * scale
 
+    @pytest.mark.parametrize("z", [1e-12 + 0j, 1 + 1e-12j])
+    def test_rejects_vertex_collision_like_the_closed_form(self, z):
+        with pytest.raises(DegenerateConfiguration) as closed:
+            triangle_closed_form(z)
+        with pytest.raises(DegenerateConfiguration) as eig:
+            triangle_eigenvalues(z)
+        assert str(eig.value) == str(closed.value) == f"triangle apex {z} collides with a base point"
+
     def test_pure_imaginary_pair_plus_zero(self):
         lam = triangle_eigenvalues(0.5 + 0j).lambdas
         mags = np.sort(np.abs(lam))

@@ -21,7 +21,9 @@ from stillflow import (
     svd,
     zero_eigenvalue_multiplicity,
 )
+from stillflow.linalg import _certified_zero_count
 
+from known_configurations import polygon_plus_centre
 from test_core import random_points
 
 
@@ -92,6 +94,38 @@ def even_configurations(draw):
         z[j] = z[i] + 10.0**gap * np.exp(2j * np.pi * rng.uniform())
     s = 10.0 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.uniform())
     return s * z + complex(*rng.uniform(-5, 5, 2))
+
+
+@st.composite
+def odd_kernel_configurations(draw):
+    """Odd N = 3 to 51 at random, with one pair 1e-8 to 1e-1 apart, or on a
+    line; the regular N-gon, exact or with every point moved by 1e-12 to
+    1e-2, which puts eigenvalues near the zero count's cutoff; or an
+    (N - 1)-gon plus its centre, N = 3 to 51.
+    Each under a random similarity z -> s z + b, |s| in [1e-3, 1e3] but
+    never bringing the pair within 1e-8."""
+    kind = draw(st.sampled_from(["random", "pair", "collinear", "polygon", "near_polygon",
+                                 "polygon_centre"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_gap = rng.uniform(-8, -1)
+    if kind == "polygon_centre":
+        z, _ = polygon_plus_centre(draw(st.integers(2, 50)))
+    else:
+        n = draw(st.sampled_from(range(3, 52, 2)))
+        if kind in ("polygon", "near_polygon"):
+            z = np.exp(2j * np.pi * np.arange(n) / n)
+            if kind == "near_polygon":
+                z += 10.0 ** rng.uniform(-12, -2) * np.exp(2j * np.pi * rng.uniform(size=n))
+        elif kind == "collinear":
+            z = np.cumsum(rng.uniform(0.1, 1.0, n)) + 0j
+        else:
+            z = random_points(rng, n, min_gap=1e-3)
+        if kind == "pair":
+            i, j = rng.choice(n, 2, replace=False)
+            z[j] = z[i] + 10.0**log_gap * np.exp(2j * np.pi * rng.uniform())
+    log_scale = rng.uniform(max(-3.0, -8.0 - log_gap) if kind == "pair" else -3.0, 3.0)
+    s = 10.0**log_scale * np.exp(2j * np.pi * rng.uniform())
+    return s * z + complex(*rng.normal(size=2))
 
 
 class TestSvd:
@@ -292,6 +326,42 @@ class TestZeroMultiplicity:
         z = np.array([0, 1, np.exp(1j * np.pi / 3)])
         a = build_matrix(z).entries
         assert zero_eigenvalue_multiplicity(a) == 3
+
+
+class TestCertifiedZeroCount:
+    """The zero count read from the rank report is the eigenvalue count
+    wherever the certificate gives one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(odd_kernel_configurations(), st.floats(-12.0, -1.0))
+    def test_certified_count_is_the_eigenvalue_count(self, z, log_tol):
+        a = build_matrix(z)
+        count = _certified_zero_count(nullspace(a, rel_tol=10.0**log_tol))
+        if count is not None:
+            assert count == zero_eigenvalue_multiplicity(a)
+
+    @pytest.mark.parametrize("n", range(3, 52, 2))
+    def test_declines_on_odd_polygons(self, n):
+        rng = np.random.default_rng(n)
+        s = 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform())
+        z = s * np.exp(2j * np.pi * np.arange(n) / n) + complex(*rng.normal(size=2))
+        assert _certified_zero_count(nullspace(build_matrix(z))) is None
+
+    def test_declines_on_the_equilateral_triangle(self):
+        a = build_matrix([0j, 1 + 0j, np.exp(1j * np.pi / 3)])
+        assert _certified_zero_count(nullspace(a)) is None
+        assert zero_eigenvalue_multiplicity(a) == 3
+
+    def test_certifies_random_odd_configurations(self):
+        rng = np.random.default_rng(20)
+        for n in range(3, 22, 2):
+            a = build_matrix(random_points(rng, n, min_gap=1e-2))
+            assert _certified_zero_count(nullspace(a)) == 1 == zero_eigenvalue_multiplicity(a)
+
+    def test_declines_at_other_nullities(self):
+        z, _ = polygon_plus_centre(7)
+        assert _certified_zero_count(nullspace(build_matrix(z))) is None
+        assert _certified_zero_count(nullspace(build_matrix([0j, 1 + 0j]))) is None
 
 
 class TestPfaffianAndDeterminant:
