@@ -54,8 +54,10 @@ def as_strength_values(strengths) -> ComplexArray:
 
 
 def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray]:
-    """Positions and strengths of the same size."""
+    """Positions, at least one, and strengths of the same size."""
     positions, gamma = as_positions(points), as_strength_values(strengths)
+    if positions.size == 0:
+        raise ValueError("need at least 1 point, got 0")
     if positions.size != gamma.size:
         raise ValueError(f"{positions.size} points but {gamma.size} strengths")
     return positions, gamma

@@ -142,12 +142,11 @@ def point_velocities(points, strengths) -> ComplexArray:
     """Velocity of every singularity under all the others (self excluded).
 
     Componentwise this is conj((A Gamma)_a / (2 pi i)), so it vanishes
-    exactly on equilibria. A single point never moves itself. Plain
-    positions closer than the separation floor raise DegenerateConfiguration.
+    exactly on equilibria. A point's own term is Gamma_a / inf = 0, so a
+    lone point gets a zero velocity from the same sum. Plain positions
+    closer than the separation floor raise DegenerateConfiguration.
     """
     z, gamma = _inputs(points, strengths)
-    if z.size == 1:
-        return np.zeros(1, dtype=np.complex128)
     diff = _differences(z, *_pair_buffer(z.size))
     if not isinstance(points, PointSet):
         _check_separation(np.abs(diff))
@@ -174,7 +173,7 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
 
     diff, diag = _pair_buffer(n)
     gap = np.empty((n, n))
-    stages = np.zeros((4, n), dtype=np.complex128)
+    stages = np.empty((4, n), dtype=np.complex128)
     k1, k2, k3, k4 = stages
     speed = np.empty((4, n))
     work = np.empty(n, dtype=np.complex128)
@@ -184,32 +183,30 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
     t = 0.0
     while t < t_final - 1e-12 * max(t_final, 1.0):
         h = min(dt, t_final - t)
-        # a lone point never moves: its stages stay zero
-        if n > 1:
-            np.abs(_differences(z, diff, diag), out=gap)
-            pair = _closest_pair(gap)
-            sep = float(gap[pair])
-            if sep < DELTA_MIN_DEFAULT:
-                raise CollisionAbort(f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
-                                     f" (distance {sep:.3e})", time=t, pair=pair, distance=sep)
-            if sep < 10.0 * DELTA_MIN_DEFAULT and pair not in warned:
-                warned.add(pair)
-                events.append(CollisionEvent(t, pair, sep))
-            _field_sum(diff, gamma, k1)
-            np.add(z, np.multiply(0.5 * h, k1, out=work), out=work)
-            _field_sum(_differences(work, diff, diag), gamma, k2)
-            np.add(z, np.multiply(0.5 * h, k2, out=work), out=work)
-            _field_sum(_differences(work, diff, diag), gamma, k3)
-            np.add(z, np.multiply(h, k3, out=work), out=work)
-            _field_sum(_differences(work, diff, diag), gamma, k4)
-            # A non-finite stage makes reach NaN, which aborts like a blow-up.
-            reach = h * float(np.abs(stages, out=speed).max())
-            if not reach <= 0.25 * sep:
-                raise CollisionAbort(
-                    f"step displacement {reach:.3e} exceeds a quarter of the closest"
-                    f" separation {sep:.3e} at t = {t:.6g}; collision unresolvable at dt = {dt}",
-                    time=t, pair=pair, distance=sep,
-                )
+        np.abs(_differences(z, diff, diag), out=gap)
+        pair = _closest_pair(gap)
+        sep = float(gap[pair])
+        if sep < DELTA_MIN_DEFAULT:
+            raise CollisionAbort(f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
+                                 f" (distance {sep:.3e})", time=t, pair=pair, distance=sep)
+        if sep < 10.0 * DELTA_MIN_DEFAULT and pair not in warned:
+            warned.add(pair)
+            events.append(CollisionEvent(t, pair, sep))
+        _field_sum(diff, gamma, k1)
+        np.add(z, np.multiply(0.5 * h, k1, out=work), out=work)
+        _field_sum(_differences(work, diff, diag), gamma, k2)
+        np.add(z, np.multiply(0.5 * h, k2, out=work), out=work)
+        _field_sum(_differences(work, diff, diag), gamma, k3)
+        np.add(z, np.multiply(h, k3, out=work), out=work)
+        _field_sum(_differences(work, diff, diag), gamma, k4)
+        # A non-finite stage makes reach NaN, which aborts like a blow-up.
+        reach = h * float(np.abs(stages, out=speed).max())
+        if not reach <= 0.25 * sep:
+            raise CollisionAbort(
+                f"step displacement {reach:.3e} exceeds a quarter of the closest"
+                f" separation {sep:.3e} at t = {t:.6g}; collision unresolvable at dt = {dt}",
+                time=t, pair=pair, distance=sep,
+            )
         # z + (h / 6) (k1 + 2 k2 + 2 k3 + k4), left to right; k3 is spent
         np.add(k1, np.multiply(2.0, k2, out=work), out=work)
         np.add(work, np.multiply(2.0, k3, out=k3), out=work)
@@ -232,7 +229,7 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     ------
     ValueError
         Unless t_final and dt are finite and positive, the configuration
-        has at most MAX_POINTS points and the trajectory at most
+        has 1 to MAX_POINTS points and the trajectory at most
         MAX_TRAJECTORY_POSITIONS positions; nothing is allocated first.
     CollisionAbort
         Carrying (time, pair, distance) of the offending pair.

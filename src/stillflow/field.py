@@ -203,8 +203,8 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
     Raises
     ------
     ValueError
-        If nx or ny is below 2, or the lattice has more than
-        MAX_GRID_NODES nodes; nothing is allocated first.
+        If nx or ny is below 2, the lattice has more than MAX_GRID_NODES
+        nodes or there are no points; nothing is allocated first.
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"need nx, ny >= 2, got {nx}, {ny}")

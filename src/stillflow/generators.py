@@ -81,11 +81,14 @@ def _check_count(n: int) -> None:
         raise ValueError(f"need n <= {MAX_POINTS}, got {n}")
 
 
-def _retry(draw, what: str) -> PointSet:
+def _retry(seed, draw, what: str) -> PointSet:
+    """PointSet(draw(rng)) of the first of RETRY_CAP draws that is admissible,
+    every draw taken from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
     last = None
     for _ in range(RETRY_CAP):
         try:
-            return PointSet(draw())
+            return PointSet(draw(rng))
         except DegenerateConfiguration as exc:
             last = exc
     raise DegenerateConfiguration(f"{what}: no admissible draw in {RETRY_CAP} attempts ({last})")
@@ -102,13 +105,12 @@ def generate_collinear(n: int, distribution: str = "even", seed: int | None = No
         return PointSet(np.linspace(0.0, 1.0, n).astype(np.complex128))
     if distribution != "random":
         raise ValueError(f"distribution must be 'even' or 'random', got {distribution!r}")
-    rng = np.random.default_rng(seed)
 
-    def draw():
+    def draw(rng):
         inner = np.sort(rng.uniform(0.0, 1.0, n - 2))
         return np.concatenate([[0.0], inner, [1.0]]).astype(np.complex128)
 
-    return _retry(draw, f"collinear n={n}")
+    return _retry(seed, draw, f"collinear n={n}")
 
 
 def generate_circle(
@@ -128,13 +130,12 @@ def generate_circle(
         return PointSet(radius * np.exp(1j * (2.0 * np.pi * k / n + phase)))
     if distribution != "random":
         raise ValueError(f"distribution must be 'even' or 'random', got {distribution!r}")
-    rng = np.random.default_rng(seed)
 
-    def draw():
+    def draw(rng):
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
         return radius * np.exp(1j * (angles + phase))
 
-    return _retry(draw, f"circle n={n}")
+    return _retry(seed, draw, f"circle n={n}")
 
 
 @functools.cache
@@ -178,22 +179,20 @@ def generate_polar_curve(spec: CurveSpec, n: int, seed: int | None = None) -> Po
         targets = s[-1] * np.arange(n) / n
         theta = np.interp(targets, s, grid)
         return PointSet(place(theta))
-    rng = np.random.default_rng(seed)
 
-    def draw():
+    def draw(rng):
         return place(np.sort(rng.uniform(0.0, 2.0 * np.pi, n)))
 
-    return _retry(draw, f"{spec.curve} n={n}")
+    return _retry(seed, draw, f"{spec.curve} n={n}")
 
 
 def generate_random_plane(n: int, region: RegionSpec) -> PointSet:
     """Independent uniform draws over the region's rectangle."""
     _check_count(n)
-    rng = np.random.default_rng(region.seed)
 
-    def draw():
+    def draw(rng):
         x = rng.uniform(region.x_min, region.x_max, n)
         y = rng.uniform(region.y_min, region.y_max, n)
         return x + 1j * y
 
-    return _retry(draw, f"random plane n={n}")
+    return _retry(region.seed, draw, f"random plane n={n}")

@@ -103,10 +103,10 @@ def svd(a) -> SvdResult:
 def nullspace(a, rel_tol: float = 1e-10) -> RankReport:
     """Numerical rank and kernel basis from the SVD.
 
-    The threshold is rel_tol * sigma_max * n (with an absolute guard when
-    the matrix is exactly zero). Skew-symmetric matrices have even rank;
-    when the threshold lands inside a near-equal singular value pair and
-    leaves an odd count, the straggler is demoted to the kernel side.
+    The threshold is rel_tol * sigma_max * n, so a zero matrix has rank 0.
+    Skew-symmetric matrices have even rank; when the threshold lands inside
+    a near-equal singular value pair and leaves an odd count, the straggler
+    is demoted to the kernel side.
 
     Parameters
     ----------
@@ -124,7 +124,7 @@ def nullspace(a, rel_tol: float = 1e-10) -> RankReport:
     _, sigma, vh = _lapack_svd(a)
     n = sigma.size
     smax = float(sigma[0]) if n else 0.0
-    threshold = rel_tol * smax * n if smax > 0.0 else 1e-300
+    threshold = rel_tol * smax * n
     rank = int(np.count_nonzero(sigma > threshold))
     if rank % 2:
         rank -= 1
@@ -283,10 +283,8 @@ def _pfaffian_polar(det_q: float, factors: ComplexArray) -> tuple[complex, float
 
 
 def _pfaffian_value(det_q: float, factors: ComplexArray) -> complex:
-    pf = np.complex128(det_q)
     with np.errstate(over="ignore", invalid="ignore"):
-        for f in factors:
-            pf *= f
+        pf = np.multiply.reduce(factors, initial=det_q)
     if np.isfinite(pf):
         return complex(pf)
     # the product overflowed, on the way or at the end: rebuild it from the

@@ -125,6 +125,15 @@ class TestConfigurationFiles:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ["[]", "[0, 1]", "[[0, 0, 0], [1, 0, 0]]", "[[[0, 0]]]"])
+    def test_points_that_are_not_pairs_are_malformed(self, tmp_path, capsys, points):
+        path = tmp_path / "bad.json"
+        path.write_text('{"points": %s}' % points)
+        with pytest.raises(ValueError, match="bad.json: points must be a list of"):
+            load_configuration(str(path))
+        assert main(["spectrum", "--in", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: points must be a list of [x, y] pairs\n"
+
 
 class TestGenerate:
     def test_line_to_stdout(self, capsys):

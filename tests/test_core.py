@@ -76,6 +76,10 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet([0j, complex(np.nan, 0)])
 
+    def test_rejects_positions_that_are_not_a_vector(self):
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+            PointSet([[0j, 1j], [2j, 3j]])
+
     def test_positions_read_only(self):
         ps = PointSet([0j, 1 + 0j])
         with pytest.raises(ValueError):
@@ -101,6 +105,10 @@ class TestStrengthVector:
 
 
 class TestBuildMatrix:
+    def test_matrix_entries_must_be_square(self):
+        with pytest.raises(ValueError, match=r"entries must be square, got shape \(2, 3\)"):
+            ConfigurationMatrix(np.zeros((2, 3)))
+
     def test_two_points(self):
         a = build_matrix(PointSet([0j, 1 + 0j]))
         assert np.array_equal(a.entries, np.array([[0, -1], [1, 0]], dtype=complex))

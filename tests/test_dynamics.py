@@ -311,6 +311,10 @@ class TestBounds:
 
 
 class TestPointVelocities:
+    def test_points_and_strengths_must_pair_up(self):
+        with pytest.raises(ValueError, match="2 points but 1 strengths"):
+            point_velocities([0j, 1 + 0j], [1 + 0j])
+
     def test_matches_matrix_product(self):
         rng = np.random.default_rng(83)
         for n in (2, 3, 5, 8):
@@ -544,6 +548,26 @@ class TestFixedness:
         ps = PointSet([0j, 0.5 + 0j, 1 + 0j])
         sol = solve_strengths(ps)
         assert fixedness_check(ps, sol.strengths, t_final=0.1) <= 1e-10
+
+
+class TestEmptyConfiguration:
+    """Zero points are refused, by the intake every field and dynamics call
+    passes through, before anything is allocated."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: point_velocities([], []),
+        lambda: integrate([], [], 0.1),
+        lambda: fixedness_check([], [], 1.0),
+    ], ids=["point_velocities", "integrate", "fixedness_check"])
+    def test_zero_points_refused_before_anything_is_allocated(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need at least 1 point, got 0"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestMemory:

@@ -26,7 +26,7 @@ from stillflow import (
 )
 
 from stillflow.core import pairwise_distances
-from known_configurations import polygon_plus_centre
+from known_configurations import adler_moser_9, polygon_plus_centre
 from test_core import random_points
 
 
@@ -221,6 +221,10 @@ class TestNormalizeLeading:
 
 
 class TestResidual:
+    def test_strengths_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match=r"matrix is \(3, 3\), strengths have length 2"):
+            residual(build_matrix([0j, 0.5 + 0j, 1 + 0j]), [1, 1])
+
     def test_equilibrium_is_tiny(self):
         a = build_matrix([0j, 0.5 + 0j, 1 + 0j])
         assert residual(a, StrengthVector([1, -0.5, 1])) <= 1e-14
@@ -261,6 +265,41 @@ class TestPolygonPlusCentre:
         assert sol.nullity == 2
         assert residual(build_matrix(points), gamma) <= 1e-13 * sol.kernel.sigma[0]
 
+
+
+class TestAdlerMoser9:
+    """The nine-point Adler-Moser family under a similarity z -> c z + b:
+    the kernel has dimension 3 and holds the known +/-1 strengths.
+
+    Draws with two roots closer than 1e-3 are skipped. Near a close pair
+    the roots are only as accurate as np.roots places them, so the +/-1
+    vector's residual is allowed max(1e-13, 2e-15 / separation^2) of
+    sigma_max; over 6000 draws near a collision of a +1 and a -1 root it
+    stayed below 4e-16 / separation^2, and below 1e-13 from a separation of
+    0.1 up. The angle between g and the computed kernel is then bounded by
+    that residual plus the SVD's backward error, over the smallest nonzero
+    singular value.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.complex_numbers(min_magnitude=0.1, max_magnitude=3),
+           st.complex_numbers(max_magnitude=3),
+           st.floats(-2, 2), st.floats(0, 2 * np.pi),
+           st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
+    def test_nullity_three_with_the_known_strengths_in_the_kernel(
+            self, tau2, tau3, log_scale, angle, shift):
+        z, g = adler_moser_9(tau2, tau3)
+        separation = float(pairwise_distances(z).min())
+        assume(separation >= 1e-3)
+        points = PointSet(10.0**log_scale * np.exp(1j * angle) * z + shift)
+        sol = solve_strengths(points)
+        sigma, rank = sol.kernel.sigma, sol.kernel.rank
+        assert sol.nullity == 3
+        res = residual(build_matrix(points), g)
+        assert res <= max(1e-13, 2e-15 / separation**2) * sigma[0]
+        basis = sol.basis
+        outside = np.linalg.norm(g - basis @ (basis.conj().T @ g)) / np.linalg.norm(g)
+        assert outside <= (res + 1e-13 * sigma[0]) / sigma[rank - 1]
 
 class TestClassification:
     def test_named_cases(self):

@@ -724,6 +724,37 @@ class TestStreamlines:
         # the approach distance is |step|, so the last vertex stays outside it
         assert 1e-2 - 1e-12 <= np.abs(line.vertices[-2]) and np.abs(line.vertices[-1]) < 1e-2
 
+    def test_stagnation_at_a_later_stage(self):
+        # between equal sources at -1 and 1 the flow on the axis runs to the
+        # stagnation point at 0; from half a step away the first stage lands on it
+        z, g = [-1 + 0j, 1 + 0j], [TWO_PI * 1j] * 2
+        start = 0.5 * 1e-2 + 0j
+        assert abs(velocity_at(z, g, start)) >= 1e-3
+        line = trace_streamline(z, g, start, step=1e-2)
+        assert line.terminated_by == "stagnation"
+        assert line.vertices.tolist() == [start]
+
+
+class TestEmptyConfiguration:
+    """Zero points are refused, by the intake every field and dynamics call
+    passes through, before anything is allocated."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: velocity_grid([], [], Window(-1.0, 1.0, -1.0, 1.0), 2000, 2000),
+        lambda: velocity_at([], [], 0.5 + 0j),
+        lambda: trace_streamline([], [], 0.5 + 0j),
+        lambda: far_field_deviation([], [], 10.0),
+    ], ids=["velocity_grid", "velocity_at", "trace_streamline", "far_field_deviation"])
+    def test_zero_points_refused_before_anything_is_allocated(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need at least 1 point, got 0"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
 
 class TestFarField:
     def test_relative_deviation_quarters_when_radius_doubles(self):

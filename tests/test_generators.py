@@ -91,6 +91,10 @@ class TestCircle:
         with pytest.raises(ValueError, match="positive finite radius"):
             generate_circle(5, distribution, radius=radius, phase=phase, seed=1)
 
+    def test_rejects_unknown_distribution(self):
+        with pytest.raises(ValueError, match="must be 'even' or 'random', got 'clustered'"):
+            generate_circle(5, distribution="clustered")
+
 
 class TestCurveSpec:
     def test_flower_radius(self):
@@ -267,3 +271,31 @@ class TestRandomPlane:
         region = RegionSpec(-1.0, 1.0, -1.0, 1.0, seed=12)
         ps = generate_random_plane(7, region)
         assert solve_strengths(ps).residual <= 1e-9
+
+
+class TestRetry:
+    def test_a_colliding_draw_is_redrawn_from_the_same_generator(self):
+        seen = []
+
+        def draw(rng):
+            seen.append(rng)
+            x = rng.uniform(0.0, 1.0, 3)
+            return np.zeros(3) if len(seen) == 1 else x
+
+        ps = generators._retry(7, draw, "test")
+        rng = np.random.default_rng(7)
+        rng.uniform(0.0, 1.0, 3)
+        assert np.array_equal(ps.positions, rng.uniform(0.0, 1.0, 3))
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    def test_gives_up_after_the_cap(self):
+        calls = []
+
+        def draw(rng):
+            calls.append(rng)
+            return np.zeros(3)
+
+        with pytest.raises(DegenerateConfiguration,
+                           match=f"test: no admissible draw in {generators.RETRY_CAP} attempts"):
+            generators._retry(7, draw, "test")
+        assert len(calls) == generators.RETRY_CAP

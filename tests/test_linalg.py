@@ -228,6 +228,12 @@ class TestNullspace:
             residual = np.linalg.norm(a @ gamma) / np.linalg.norm(gamma)
             assert residual <= 1e-12 * rep.sigma[0] * n
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_zero_matrix_has_rank_zero(self, n):
+        rep = nullspace(np.zeros((n, n), dtype=complex))
+        assert rep.threshold == 0.0
+        assert rep.rank == 0 and rep.nullity == n and rep.basis.shape == (n, n)
+
     def test_threshold_formula(self):
         a = config_matrix(np.random.default_rng(32), 5)
         rep = nullspace(a, rel_tol=1e-10)
@@ -244,6 +250,26 @@ class TestNullspace:
         z = np.array([0, 1, np.exp(1j * np.pi / 3)])
         rep = nullspace(build_matrix(z).entries)
         assert rep.rank == 2 and rep.nullity == 1
+
+    def test_threshold_inside_a_pair_demotes_the_straggler(self):
+        # LAPACK returns the two equal singular values of a pair split by
+        # rounding; a threshold at their midpoint leaves an odd count above it
+        rng = np.random.default_rng(34)
+        demoted = 0
+        while demoted < 20:
+            a = config_matrix(rng, int(rng.integers(4, 30)))
+            s = svd(a)
+            n = s.sigma.size
+            for k in range(0, n - 1, 2):
+                mid = 0.5 * (s.sigma[k] + s.sigma[k + 1])
+                rep = nullspace(a, rel_tol=mid / (s.sigma[0] * n))
+                if s.sigma[k + 1] < rep.threshold < s.sigma[k]:
+                    break
+            else:
+                continue
+            demoted += 1
+            assert rep.rank == k and rep.nullity == n - k
+            assert np.array_equal(rep.basis[:, 0], s.v[:, k])
 
 
 class TestEigenvalues:

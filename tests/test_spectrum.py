@@ -25,6 +25,15 @@ from test_core import random_points
 
 
 class TestNormalize:
+    @pytest.mark.parametrize("sigma, message", [
+        ([[1.0, 0.5]], r"spectrum must be one-dimensional, got shape \(1, 2\)"),
+        ([np.inf, 1.0], "spectrum contains non-finite entries"),
+        ([1.0, np.nan], "spectrum contains non-finite entries"),
+    ])
+    def test_rejects_a_spectrum_that_is_not_a_finite_vector(self, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            normalize_spectrum(sigma)
+
     def test_flat_pair(self):
         for mode in ("power", "linear"):
             p = normalize_spectrum(np.array([1.0, 1.0]), mode=mode)
@@ -63,6 +72,11 @@ class TestNormalize:
 
 
 class TestEntropy:
+    @pytest.mark.parametrize("p", [[], [[0.5, 0.5]]])
+    def test_rejects_an_empty_or_nested_distribution(self, p):
+        with pytest.raises(InvalidDistribution, match="distribution must be a non-empty vector"):
+            shannon_entropy(p)
+
     def test_flat_pair_gives_log_two(self):
         assert shannon_entropy(np.array([0.5, 0.5])) == pytest.approx(np.log(2))
 
