@@ -253,7 +253,10 @@ def fixedness_check(points, strengths, t_final: float = 1.0, dt: float = 1e-3) -
     """Max displacement of any point from its start over the run integrate
     takes, with the same checks and aborts but no trajectory kept. Solved
     equilibria stay below integrator accuracy (around 1e-8 over unit time);
-    anything materially above that is not an equilibrium."""
+    anything materially above that is not an equilibrium. A drift of zero
+    bounds the speeds only below about ulp(|z|) / (2 dt), where each
+    increment rounds away against its position; the kernel residual is
+    the finer check."""
     run = _rk4_run(points, strengths, t_final, dt)
     z0 = next(run)[0]
     far = np.zeros(z0.size)

@@ -45,36 +45,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-#: The worker threads' pool, made by the first lattice of two or more
-#: shares, and the lock under which it is made, so that threads drawing
-#: their first such lattice at the same moment share one pool.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    """The process's one pool of worker threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here, so a process that draws no such lattice never loads it
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_cpu_count() - 1)
-        return _pool
-
-
-def _forget_executor() -> None:
-    """In a forked child: none of the pool's threads were copied, and a lock
-    held by another thread at the fork would never be released."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
-
-
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned view rectangle, with finite bounds and finite widths."""
@@ -187,18 +157,16 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
     A lattice of two or more blocks of 2**16 node-point terms is split into
     W shares of interleaved tiles, W being the number of CPUs the process
     may run on, but at most the number of blocks. The calling thread runs
-    one share and a ThreadPoolExecutor runs the others; numpy releases the
-    interpreter lock inside each tile's sums. The first such lattice imports
-    concurrent.futures and makes the pool, with one thread fewer than the
-    CPUs; the pool is kept for the process, and a forked child makes its
-    own. If shares fail, the failure of the first one that failed is raised
-    once every share has finished. A share's tiles hold at most 2**16 // W
-    node-point terms (or one node, if a node has more), so no temporary
-    exceeds 1 MB, and the working memory beyond the returned arrays stays
-    under 3 MB (about 2 MB from five points up) whatever nx, ny and W, while
-    a node has at most 2**16 // W terms. Each node's sum runs over the
-    points in order, so the values depend neither on the tiles nor on W:
-    every grid is bit-identical to a one-thread sum.
+    one share and starts a thread for each of the others, and joins them
+    all before it returns; numpy releases the interpreter lock inside each
+    tile's sums. If shares fail, the failure of the first one in share
+    order is raised once every share has finished. A share's tiles hold at
+    most 2**16 // W node-point terms (or one node, if a node has more), so
+    no temporary exceeds 1 MB, and the working memory beyond the returned
+    arrays stays under 3 MB (about 2 MB from five points up) whatever nx,
+    ny and W, while a node has at most 2**16 // W terms. Each node's sum
+    runs over the points in order, so the values depend neither on the
+    tiles nor on W: every grid is bit-identical to a one-thread sum.
 
     Raises
     ------
@@ -244,8 +212,6 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
     z_imag = np.tile(positions.imag, width)
 
     def share(k):
-        # allocated in the share: a pool thread may hold the share itself for a
-        # moment after the lattice is returned
         buf = np.empty(block * n, dtype=np.complex128)
         near_x_at = None
         for r0, r1, c0, c1 in islice(tiles(), k, None, workers):
@@ -272,17 +238,27 @@ def velocity_grid(points, strengths, window: Window, nx: int, ny: int) -> FieldG
                 diff[hit] = 1.0
             _field_sum(diff, gamma, out=flat_vel[lo : lo + m])
 
-    # Share 0 runs here, and the pool is made only when there are other
-    # shares. Once every share has finished, the failure of the first share
-    # that failed is raised.
-    futures = [_executor().submit(share, k) for k in range(1, workers)]
+    failures = [None] * workers
+
+    def run(k):
+        try:
+            share(k)
+        except BaseException as exc:  # raised in the caller, after the join
+            failures[k] = exc
+
+    started = []
     try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            started.append(thread)
         share(0)
     finally:
-        for future in futures:
-            future.exception()
-    for future in futures:
-        future.result()
+        for thread in started:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
     vel[singular] = 0.0
     for arr in (xs, ys, vel, singular):
         arr.setflags(write=False)
@@ -304,12 +280,15 @@ def trace_streamline(points, strengths, start: complex, step: float = 1e-2,
     Raises
     ------
     ValueError
-        If the step is zero or not finite, or the start is not finite.
+        If the step is zero or not finite, max_steps is negative, or the
+        start is not finite.
     SingularPoint
         If the start itself is inside the singular zone.
     """
     if step == 0.0 or not math.isfinite(step):
         raise ValueError(f"step must be finite and nonzero, got {step}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     positions, gamma = _inputs(points, strengths)
     if window is None:
         window = default_window(points)

@@ -4,13 +4,10 @@ import math
 import multiprocessing
 import os
 import re
-import subprocess
 import sys
-import textwrap
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -460,7 +457,7 @@ class TestLatticeShares:
         with pytest.raises(RuntimeError, match=f"{failing} share failed"):
             velocity_grid(z, g, GRID_WINDOW, 60, 60)
         assert len(finished) == 3
-        # the pool serves the next lattice, with nothing of the failed one left over
+        # the next lattice is drawn, with nothing of the failed one left over
         monkeypatch.setattr(field, "_field_sum", field_sum)
         grid = velocity_grid(z, g, GRID_WINDOW, 60, 60)
         assert grid.velocity.tobytes() == unchunked_grid(z, g, GRID_WINDOW, 60, 60)[2].tobytes()
@@ -523,110 +520,77 @@ class TestLatticeShares:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
-    def test_forked_child_draws_while_the_pool_lock_is_held(self, monkeypatch):
-        # the lock is held across the fork; the child's copy would never be released
+    def test_forked_child_draws_while_another_thread_draws(self, monkeypatch):
+        # the fork comes while both shares of another thread's lattice are
+        # inside their first sum; none of those threads is copied into the child
         monkeypatch.setattr(field, "_cpu_count", lambda: 2)
         z, g = RING
         expected = velocity_grid(z, g, GRID_WINDOW, 60, 60).velocity.tobytes()
+        field_sum = field._field_sum
+        arrived, release = threading.Semaphore(0), threading.Event()
+
+        def held_sum(diff, gamma, out=None):
+            if not release.is_set():
+                arrived.release()
+                release.wait(timeout=30)
+            return field_sum(diff, gamma, out=out)
 
         def child():
+            field._field_sum = field_sum
             grid = velocity_grid(z, g, GRID_WINDOW, 60, 60)
             sys.exit(0 if grid.velocity.tobytes() == expected else 3)
 
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        with field._pool_lock:
+        monkeypatch.setattr(field, "_field_sum", held_sum)
+        drawn = []
+        drawer = threading.Thread(target=lambda: drawn.append(
+            velocity_grid(z, g, GRID_WINDOW, 60, 60).velocity.tobytes()))
+        drawer.start()
+        try:
+            assert arrived.acquire(timeout=30) and arrived.acquire(timeout=30)
+            proc = multiprocessing.get_context("fork").Process(target=child)
             proc.start()
+        finally:
+            release.set()
+            drawer.join(timeout=30)
         proc.join(timeout=30)
         hung = proc.is_alive()
         if hung:
             proc.kill()
             proc.join()
         assert not hung and proc.exitcode == 0
+        assert not drawer.is_alive() and drawn == [expected]
 
-    def test_threads_starting_at_once_share_one_pool(self):
-        # in a fresh process, four threads draw their first split lattice at
-        # the same moment; every pool made is counted, and each takes 0.1 s
-        # to make, so the others arrive while the first is being made
-        script = textwrap.dedent("""
-            import threading
-            import time
-            from concurrent import futures
-            import numpy as np
-            import stillflow
-            from stillflow import field
-
-            made = []
-
-            class CountedPool(futures.ThreadPoolExecutor):
-                def __init__(self, *args, **kwargs):
-                    made.append(self)
-                    time.sleep(0.1)
-                    super().__init__(*args, **kwargs)
-
-            futures.ThreadPoolExecutor = CountedPool
-            field._cpu_count = lambda: 2
-            window = stillflow.Window(-1.0, 1.0, -1.0, 1.0)
-            ring = np.exp(2j * np.pi * np.arange(51) / 51)
-            barrier = threading.Barrier(4)
-
-            def draw():
-                barrier.wait()
-                stillflow.velocity_grid(ring, np.ones(51, complex), window, 60, 60)
-
-            callers = [threading.Thread(target=draw) for _ in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join()
-            print(len(made))
-        """)
-        src = Path(field.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["1"]
-
-    def test_worker_threads_are_kept_for_the_process(self, monkeypatch):
-        # a pool made per lattice, or a thread left behind by each lattice, shows here
+    def test_no_worker_thread_outlives_a_lattice(self, monkeypatch):
+        # each lattice starts its own threads and joins them, whether it
+        # succeeds or fails, and takes W from the CPU count at each call
         field_sum, caller = field._field_sum, threading.current_thread()
-        workers = []
+        summed_on = set()
 
         def recording_sum(diff, gamma, out=None):
-            if threading.current_thread() is not caller:
-                workers.append(threading.current_thread())
+            summed_on.add(threading.current_thread())
             return field_sum(diff, gamma, out=out)
 
+        def failing_sum(diff, gamma, out=None):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker share failed")
+            return field_sum(diff, gamma, out=out)
+
+        # 100 * 100 nodes of 51 points: 8 blocks, so up to 8 shares
+        z, g = RING
+        threads = threading.active_count()
         monkeypatch.setattr(field, "_cpu_count", lambda: 2)
         monkeypatch.setattr(field, "_field_sum", recording_sum)
-        z, g = RING
-        velocity_grid(z, g, GRID_WINDOW, 60, 60)
-        threads, first = threading.active_count(), set(workers)
-        for _ in range(19):
-            velocity_grid(z, g, GRID_WINDOW, 60, 60)
-        assert first and threading.active_count() <= threads + 1
-        assert len(set(workers)) <= len(first) + 1
-
-    def test_pool_module_loads_with_the_first_split_lattice(self):
-        # a program that draws no lattice of two or more blocks, such as a
-        # sweep of solves, never imports concurrent.futures
-        script = textwrap.dedent("""
-            import sys
-            import numpy as np
-            import stillflow
-            from stillflow import field
-
-            window = stillflow.Window(-1.0, 1.0, -1.0, 1.0)
-            stillflow.velocity_grid([0j, 1 + 0j], [1 + 0j, 1 + 0j], window, 3, 3)
-            assert "concurrent.futures" not in sys.modules
-            field._cpu_count = lambda: 2
-            ring = np.exp(2j * np.pi * np.arange(51) / 51)
-            stillflow.velocity_grid(ring, np.ones(51, complex), window, 60, 60)
-            assert "concurrent.futures" in sys.modules
-        """)
-        src = Path(field.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        velocity_grid(z, g, GRID_WINDOW, 100, 100)
+        assert len(summed_on) == 2 and threading.active_count() == threads
+        monkeypatch.setattr(field, "_field_sum", failing_sum)
+        with pytest.raises(RuntimeError, match="worker share failed"):
+            velocity_grid(z, g, GRID_WINDOW, 100, 100)
+        assert threading.active_count() == threads
+        summed_on.clear()
+        monkeypatch.setattr(field, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(field, "_field_sum", recording_sum)
+        velocity_grid(z, g, GRID_WINDOW, 100, 100)
+        assert len(summed_on) == 4 and threading.active_count() == threads
 
 
 class TestDefaultWindow:
@@ -711,6 +675,13 @@ class TestStreamlines:
     def test_rejects_zero_or_non_finite_step(self, step):
         with pytest.raises(ValueError, match="step must be finite and nonzero"):
             trace_streamline([0j], [TWO_PI + 0j], 1 + 0j, step=step)
+
+    def test_rejects_negative_max_steps_and_takes_no_step_at_zero(self):
+        for max_steps in (-1, -5):
+            with pytest.raises(ValueError, match=f"max_steps must be non-negative, got {max_steps}"):
+                trace_streamline([0j], [TWO_PI + 0j], 1 + 0j, max_steps=max_steps)
+        line = trace_streamline([0j], [TWO_PI + 0j], 1 + 0j, max_steps=0)
+        assert line.terminated_by == "step_limit" and line.vertices.tolist() == [1 + 0j]
 
     @pytest.mark.parametrize("start", [complex(np.nan, 0.0), complex(0.5, -np.inf)])
     def test_rejects_non_finite_start(self, start):
