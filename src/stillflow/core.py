@@ -27,6 +27,11 @@ DELTA_MIN_DEFAULT = 1e-9
 #: matrix is allocated: the separation check holds about 24 N^2 bytes.
 MAX_POINTS = 10_000
 
+#: Largest coordinate a PointSet may hold: up to it no difference of two
+#: positions overflows, nor the complex division that inverts one, so every
+#: entry of the interaction matrix is finite.
+MAX_COORDINATE = float(np.finfo(np.float64).max) / 4
+
 
 def _as_complex_vector(values, name: str) -> ComplexArray:
     """Validate and copy a 1-D complex array; the result is read-only."""
@@ -83,7 +88,8 @@ class PointSet:
     Parameters
     ----------
     positions:
-        Complex plane coordinates z_1..z_N, 2 <= N <= MAX_POINTS. Any pair
+        Complex plane coordinates z_1..z_N, 2 <= N <= MAX_POINTS, each real
+        and imaginary part at most MAX_COORDINATE in magnitude. Any pair
         closer than DELTA_MIN_DEFAULT raises DegenerateConfiguration.
     """
 
@@ -93,6 +99,8 @@ class PointSet:
         object.__setattr__(self, "positions", _as_complex_vector(self.positions, "positions"))
         if self.positions.size < 2:
             raise ValueError(f"need at least 2 points, got {self.positions.size}")
+        if np.abs(self.positions.view(np.float64)).max() > MAX_COORDINATE:
+            raise ValueError(f"positions have a coordinate beyond {MAX_COORDINATE:.3e}")
         _check_separation(pairwise_distances(self.positions))
 
     @property
@@ -147,6 +155,15 @@ class StrengthVector:
         if self.values.size == 0:
             raise ValueError("strength vector is empty")
 
+    @classmethod
+    def _adopt(cls, values: ComplexArray) -> "StrengthVector":
+        """Wrap a finite, non-empty complex vector that nothing else holds,
+        without a copy; the array is made read-only."""
+        values.setflags(write=False)
+        strengths = object.__new__(cls)
+        object.__setattr__(strengths, "values", values)
+        return strengths
+
     @property
     def n(self) -> int:
         return self.values.size
@@ -164,23 +181,47 @@ class StrengthVector:
         return StrengthVector(1j * self.values)
 
 
+def _check_square(m: ComplexArray, name: str) -> ComplexArray:
+    """m, refused unless it is a square matrix of finite entries."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m.view(np.float64)).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def _check_skew(m: ComplexArray) -> None:
+    """Refuse a square m with max |m + m^T| above 1e-12 max |m|."""
+    scale = float(np.abs(m).max()) if m.size else 0.0
+    if scale == 0.0:
+        return
+    worst = float(np.abs(m + m.T).max())
+    if worst > 1e-12 * scale:
+        raise ValueError(f"matrix is not skew-symmetric (max |A + A^T| = {worst:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class ConfigurationMatrix:
-    """Skew-symmetric interaction matrix with entries 1/(z_a - z_b)."""
+    """Skew-symmetric interaction matrix with entries 1/(z_a - z_b).
+
+    The constructor refuses entries that are not square, not finite or not
+    skew-symmetric to 1e-12 relative; build_matrix's entries are all three
+    by construction. The linalg functions trust a ConfigurationMatrix and
+    check only plain arrays.
+    """
 
     entries: ComplexArray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be square, got shape {arr.shape}")
+        arr = _check_square(np.array(self.entries, dtype=np.complex128, copy=True), "entries")
+        _check_skew(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @classmethod
     def _adopt(cls, entries: ComplexArray) -> "ConfigurationMatrix":
-        """Wrap a square complex array that nothing else holds, without a
-        copy; the array is made read-only."""
+        """Wrap a square, finite, skew complex array that nothing else holds,
+        without a copy; the array is made read-only."""
         entries.setflags(write=False)
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "entries", entries)

@@ -9,6 +9,7 @@ signs of the strength components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,26 +76,46 @@ class CenterOfVorticity:
     moment: complex
 
 
-def normalize_leading(values) -> StrengthVector:
-    """Rescale so the first entry with |value| > LEAD_TOL * max|value| is 1+0i."""
-    arr = as_strength_values(values)
+def _leading(arr: ComplexArray) -> ComplexArray:
+    """arr divided by its first entry with |value| > LEAD_TOL * max|value|."""
     peak = float(np.abs(arr).max())
     if peak == 0.0:
         raise ZeroStrengths("cannot normalize an all-zero strength vector")
     lead = int(np.argmax(np.abs(arr) > LEAD_TOL * peak))
-    return StrengthVector(arr / arr[lead])
+    return arr / arr[lead]
+
+
+def normalize_leading(values) -> StrengthVector:
+    """Rescale so the first entry with |value| > LEAD_TOL * max|value| is 1+0i."""
+    return StrengthVector(_leading(as_strength_values(values)))
+
+
+def _norm(x: ComplexArray) -> float:
+    """The 2-norm of a complex vector, summed as np.linalg.norm sums it."""
+    re, im = x.real, x.imag
+    return math.sqrt(float(re.dot(re) + im.dot(im)))
+
+
+def _residual(m: ComplexArray, gamma: ComplexArray) -> float:
+    """|m gamma| / |gamma|, with gamma first scaled by 2^-e, e the exponent of
+    its largest part: no squared norm overflows or underflows, and where the
+    unscaled ones are normal doubles the exact scaling keeps every bit."""
+    parts = gamma.view(np.float64)
+    peak = float(np.abs(parts).max())
+    if peak == 0.0:
+        raise ZeroStrengths("residual of an all-zero strength vector is undefined")
+    scaled = np.ldexp(parts, -math.frexp(peak)[1]).view(np.complex128)
+    return _norm(m @ scaled) / _norm(scaled)
 
 
 def residual(a: ConfigurationMatrix, strengths) -> float:
-    """Equilibrium defect |A Gamma| / |Gamma| in the 2-norm; A must be square and finite."""
+    """Equilibrium defect |A Gamma| / |Gamma| in the 2-norm, for Gamma of any
+    finite scale; A must be square and finite."""
     gamma = as_strength_values(strengths)
     m = linalg._as_square(a)
     if m.shape[1] != gamma.size:
         raise ValueError(f"matrix is {m.shape}, strengths have length {gamma.size}")
-    norm = float(np.linalg.norm(gamma))
-    if norm == 0.0:
-        raise ZeroStrengths("residual of an all-zero strength vector is undefined")
-    return float(np.linalg.norm(m @ gamma)) / norm
+    return _residual(m, gamma)
 
 
 def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
@@ -124,13 +145,15 @@ def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
             f" (smallest singular value {report.sigma[-1]:.3e}"
             f" above threshold {report.threshold:.3e})"
         )
-    strengths = normalize_leading(report.basis[:, 0])
+    # the basis is LAPACK's output for a matrix built from checked points:
+    # finite, of unit norm and of the matrix's size, so nothing is re-checked
+    strengths = _leading(report.basis[:, 0])
     count = linalg._certified_zero_count(report)
     if count is None:
         count = linalg.zero_eigenvalue_multiplicity(a)
     return EquilibriumSolution(
-        strengths=strengths,
-        residual=residual(a, strengths),
+        strengths=StrengthVector._adopt(strengths),
+        residual=_residual(a.entries, strengths),
         zero_eigenvalue_multiplicity=count,
         kernel=report,
     )

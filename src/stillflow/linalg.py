@@ -21,20 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexArray, ConfigurationMatrix, FloatArray
+from .core import ComplexArray, ConfigurationMatrix, FloatArray, _check_skew, _check_square
 from .errors import ConvergenceFailure, OddDimension
 
 ZERO_EIG_TOL = 1e-8
 PF_DET_TOL = 1e-8
 
 
-def _as_square(a, name: str = "matrix") -> ComplexArray:
-    m = a.entries if isinstance(a, ConfigurationMatrix) else np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m.view(np.float64)).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+def _as_square(a) -> ComplexArray:
+    """A ConfigurationMatrix's entries, which its construction checked, or
+    a plain array checked square and finite."""
+    if isinstance(a, ConfigurationMatrix):
+        return a.entries
+    return _check_square(np.asarray(a, dtype=np.complex128), "matrix")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -230,25 +229,24 @@ def determinant(a) -> complex:
     return _from_polar(*np.linalg.slogdet(_as_square(a)))
 
 
-def _check_skew(m: ComplexArray) -> None:
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if scale == 0.0:
-        return
-    worst = float(np.abs(m + m.T).max())
-    if worst > 1e-12 * scale:
-        raise ValueError(f"matrix is not skew-symmetric (max |A + A^T| = {worst:.3e})")
+def _as_even_skew(a) -> ComplexArray:
+    """_as_square's matrix, refused at odd dimension and, unless it is a
+    ConfigurationMatrix, when it is not skew-symmetric."""
+    m = _as_square(a)
+    if m.shape[0] % 2:
+        raise OddDimension(f"Pfaffian requires even dimension, got {m.shape[0]}")
+    if not isinstance(a, ConfigurationMatrix):
+        _check_skew(m)
+    return m
 
 
 def _pfaffian_factors(m: ComplexArray) -> tuple[float, ComplexArray]:
     """Skew LTL^T elimination with pivoting (Parlett and Reid, BIT 10,
-    1970): P A P^T = L T L^T with L unit lower triangular and T
-    tridiagonal. Returns det(P) and T's entries t[k, k+1] for even k;
+    1970) of an even skew m: P A P^T = L T L^T with L unit lower triangular
+    and T tridiagonal. Returns det(P) and T's entries t[k, k+1] for even k;
     Pf(A) is det(P) times their product. A zero pivot leaves a zero factor
     and ends the elimination."""
     n = m.shape[0]
-    if n % 2:
-        raise OddDimension(f"Pfaffian requires even dimension, got {n}")
-    _check_skew(m)
     t = m.astype(np.complex128, copy=True)
     sign = 1.0
     factors = np.zeros(n // 2, dtype=np.complex128)
@@ -279,7 +277,7 @@ def _pfaffian_polar(det_q: float, factors: ComplexArray) -> tuple[complex, float
     mags = np.abs(factors)
     if not mags.all():
         return 0j, -math.inf
-    return complex(det_q * np.prod(factors / mags)), float(np.log(mags).sum())
+    return complex(det_q * np.multiply.reduce(factors / mags)), float(np.log(mags).sum())
 
 
 def _pfaffian_value(det_q: float, factors: ComplexArray) -> complex:
@@ -308,7 +306,7 @@ def pfaffian(a) -> complex:
     ValueError
         If the matrix is not skew-symmetric.
     """
-    return _pfaffian_value(*_pfaffian_factors(_as_square(a)))
+    return _pfaffian_value(*_pfaffian_factors(_as_even_skew(a)))
 
 
 @dataclass(frozen=True)
@@ -335,7 +333,7 @@ def pfaffian_determinant_check(a) -> PfaffianCheck:
     max(|Pf|^2, |det|), decided from the phases and the logarithms of the
     moduli, so it holds where Pf^2 or det overflow a double.
     """
-    m = _as_square(a)
+    m = _as_even_skew(a)
     det_q, factors = _pfaffian_factors(m)
     pf_phase, pf_log = _pfaffian_polar(det_q, factors)
     det_phase, det_log = np.linalg.slogdet(m)

@@ -52,6 +52,24 @@ def _as_spectrum(sigma) -> FloatArray:
     return arr
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _normalized(sigma: FloatArray, mode: str) -> FloatArray:
+    """weights / weights.sum() of a positive spectrum, read-only."""
+    weights = sigma * sigma if mode == "power" else sigma
+    out = weights / weights.sum()
+    out.setflags(write=False)
+    return out
+
+
+def _entropy(p: FloatArray) -> float:
+    """-sum(p ln p) of a positive distribution."""
+    return float(-(p * np.log(p)).sum())
+
+
 def normalize_spectrum(sigma, mode: str = "power") -> FloatArray:
     """Normalize a descending spectrum so the entries sum to one.
 
@@ -65,16 +83,12 @@ def normalize_spectrum(sigma, mode: str = "power") -> FloatArray:
     EmptySpectrum
         If no positive singular value remains.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     arr = _as_spectrum(sigma)
     arr = arr[arr > 0.0]
     if arr.size == 0:
         raise EmptySpectrum("all singular values are zero")
-    weights = arr * arr if mode == "power" else arr
-    out = weights / weights.sum()
-    out.setflags(write=False)
-    return out
+    return _normalized(arr, mode)
 
 
 def shannon_entropy(sigma_normalized) -> float:
@@ -92,7 +106,7 @@ def shannon_entropy(sigma_normalized) -> float:
         raise InvalidDistribution("distribution entries must be positive")
     if abs(p.sum() - 1.0) > 1e-9:
         raise InvalidDistribution(f"distribution sums to {p.sum()!r}, not 1")
-    return float(-(p * np.log(p)).sum())
+    return _entropy(p)
 
 
 def spectral_report(a, mode: str = "power", rel_tol: float = 1e-10) -> SpectralReport:
@@ -108,14 +122,22 @@ def spectral_report(a, mode: str = "power", rel_tol: float = 1e-10) -> SpectralR
     decision stands: no second SVD runs and rel_tol is not read.
     """
     report = a if isinstance(a, linalg.RankReport) else linalg.nullspace(a, rel_tol=rel_tol)
+    _check_mode(mode)
+    if report.rank == 0:
+        raise EmptySpectrum("all singular values are zero")
+    # LAPACK's sigma is finite and descending, and the rank counts only entries
+    # above a threshold >= 0, so of the public helpers' checks only one can
+    # fail: where sigma^2 (or, in linear mode, the sum) under- or overflows,
+    # the smallest weight comes out 0 or NaN
     sigma = report.sigma
     nonzero = sigma[: report.rank]
-    normalized = normalize_spectrum(nonzero, mode=mode)
-    entropy = shannon_entropy(normalized)
+    normalized = _normalized(nonzero, mode)
+    if not normalized[-1] > 0.0:
+        raise InvalidDistribution("distribution entries must be positive")
     return SpectralReport(
         sigma_raw=sigma,
         sigma_normalized=normalized,
-        entropy=entropy,
+        entropy=_entropy(normalized),
         spectral_gap_raw=float(nonzero[-1]),
         spectral_gap_normalized=float(normalized[-1]),
         rank=report.rank,

@@ -298,6 +298,22 @@ class TestVerify:
         assert float(lines["residual"]) <= 1e-10
         assert float(lines["max_drift"]) <= 1e-8
 
+    def test_solved_line_scaled_by_1e_minus_170_passes(self, tmp_path, capsys):
+        # |Gamma|^2 underflows to zero here; the residual must not read the
+        # vector as all-zero (exit 2)
+        cfg = tmp_path / "c.json"
+        solved = tmp_path / "s.json"
+        main(["generate", "--line", "--n", "7", "--out", str(cfg)])
+        main(["solve", "--in", str(cfg), "--save-config", str(solved)])
+        tree = json.loads(solved.read_text())
+        tree["strengths"] = [[1e-170 * re, 1e-170 * im] for re, im in tree["strengths"]]
+        solved.write_text(json.dumps(tree))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(solved)]) == EXIT_OK
+        lines = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert float(lines["residual"]) <= 1e-13
+        assert float(lines["max_drift"]) <= 1e-180
+
     def test_perturbed_strengths_exit_5(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", [0j, 0.5 + 0j, 1 + 0j],
                            strengths=[1 + 0j, -0.4 + 0j, 1 + 0j])

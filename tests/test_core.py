@@ -76,6 +76,16 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet([0j, complex(np.nan, 0)])
 
+    def test_coordinates_up_to_the_bound_give_a_finite_matrix(self):
+        # beyond MAX_COORDINATE a difference, and so an entry of A, could be
+        # infinite or NaN: 1/(inf + inf j) is NaN
+        big = core.MAX_COORDINATE
+        z = [complex(-big, -big), complex(big, big), 0j]
+        assert np.isfinite(build_matrix(PointSet(z)).entries.view(np.float64)).all()
+        for far in (complex(2 * big, 0.0), complex(0.0, -2 * big)):
+            with pytest.raises(ValueError, match="positions have a coordinate beyond"):
+                PointSet([0j, far])
+
     def test_rejects_positions_that_are_not_a_vector(self):
         with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
             PointSet([[0j, 1j], [2j, 3j]])
@@ -108,6 +118,17 @@ class TestBuildMatrix:
     def test_matrix_entries_must_be_square(self):
         with pytest.raises(ValueError, match=r"entries must be square, got shape \(2, 3\)"):
             ConfigurationMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_matrix_entries_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="entries contains non-finite entries"):
+            ConfigurationMatrix(np.array([[0, bad], [-bad, 0]]))
+
+    def test_matrix_entries_must_be_skew(self):
+        with pytest.raises(ValueError, match="matrix is not skew-symmetric"):
+            ConfigurationMatrix(np.array([[0, 1], [1, 0]]))
+        # rounding-level asymmetry passes, as the Pfaffian's check lets it
+        ConfigurationMatrix(np.array([[0, 1 + 1e-14], [-1, 0]]))
 
     def test_two_points(self):
         a = build_matrix(PointSet([0j, 1 + 0j]))

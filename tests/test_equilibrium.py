@@ -19,6 +19,7 @@ from stillflow import (
     collinear_three_closed_form,
     eigenvalues,
     normalize_leading,
+    pfaffian,
     residual,
     solve_strengths,
     triangle_closed_form,
@@ -247,6 +248,14 @@ class TestResidual:
         with pytest.raises(ValueError, match="matrix must be square"):
             residual(np.ones((2, 3)), [1, 1, 1])
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-170, 1e-300])
+    def test_scaled_equilibrium_keeps_a_tiny_residual(self, scale):
+        # |Gamma|^2 overflows from about 1e154 and underflows below about
+        # 1e-162; a RuntimeWarning would fail the test
+        z = np.linspace(0.0, 1.0, 7) + 0j
+        gamma = solve(z).strengths.values
+        assert residual(build_matrix(z), scale * gamma) <= 1e-13
+
 
 class TestPolygonPlusCentre:
     """The odd n-gon plus its centre under a similarity z -> a z + b, with a
@@ -426,3 +435,85 @@ class TestInvariance:
         got = self.solve_normalized(w, at)
         spread = max(separation_spread(z), separation_spread(w))
         assert np.abs(got - g / g[at]).max() <= self.tolerance(sol, spread)
+
+
+class TestResidualScale:
+    """residual scales Gamma by a power of two before it sums squares, so
+    2^k Gamma has the residual of Gamma bit for bit over the whole exponent
+    range, and at moderate scales it is the plain quotient of norms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(odd_configurations(), st.integers(-1000, 1000))
+    def test_power_of_two_scale_keeps_every_bit(self, z, k):
+        a = build_matrix(z)
+        gamma = solve_strengths(PointSet(z)).strengths.values
+        scaled = np.ldexp(gamma.view(np.float64), k).view(np.complex128)
+        assume(np.isfinite(scaled.view(np.float64)).all())
+        want = residual(a, gamma)
+        assert want == np.linalg.norm(a.entries @ gamma) / np.linalg.norm(gamma)
+        parts = np.abs(scaled.view(np.float64))
+        if (parts[parts > 0.0] >= np.finfo(np.float64).tiny).all():
+            assert residual(a, scaled) == want
+        else:
+            # subnormal parts of 2^k Gamma lost bits: at most 2^-1074 each,
+            # against a norm of at least 2^-1000
+            assert abs(residual(a, scaled) - want) <= 1e-20 * np.abs(a.entries).max()
+
+
+def assert_solution_uses_the_public_helpers(points):
+    sol = solve_strengths(points)
+    want = normalize_leading(sol.basis[:, 0]).values
+    assert sol.strengths.values.tobytes() == want.tobytes()
+    assert not sol.strengths.values.flags.writeable
+    assert sol.residual == residual(build_matrix(points), sol.strengths)
+
+
+class TestSolveMatchesPublicHelpers:
+    """solve_strengths forms its representative and residual from LAPACK's
+    basis without re-checking it; the result must be the public helpers'
+    to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(odd_configurations())
+    def test_random(self, z):
+        assert_solution_uses_the_public_helpers(PointSet(z))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_polygon_plus_centre(self, k):
+        z, _ = polygon_plus_centre(2 * k + 1)
+        assert_solution_uses_the_public_helpers(PointSet(0.7j * z + 0.2))
+
+    @pytest.mark.parametrize("tau2, tau3", [(1.0, 1.0), (0.5 + 1j, 2.0), (2j, -1.0)])
+    def test_adler_moser_9(self, tau2, tau3):
+        z, _ = adler_moser_9(tau2, tau3)
+        assert_solution_uses_the_public_helpers(PointSet(z))
+
+
+def pfaffian_minors(a):
+    """(-1)^a Pf(A with row and column a deleted), a = 0..n-1: for odd n
+    at nullity 1 these span the kernel (the adjugate of an odd skew
+    matrix is the outer product of this vector with itself)."""
+    n = a.shape[0]
+    return np.array([(-1) ** k * pfaffian(np.delete(np.delete(a, k, 0), k, 1))
+                     for k in range(n)])
+
+
+class TestPfaffianMinors:
+    """The Pfaffian minors are a second route to the strengths, with no
+    SVD: for odd N at nullity 1, Gamma_a is proportional to
+    (-1)^a Pf(A_aa). The tolerance is TestInvariance's, the kernel vector's
+    sensitivity bound times 100; over 3000 random draws the worst case
+    used about 1.2 of the 100."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_minors_are_the_strengths(self, k, seed):
+        z = random_points(np.random.default_rng(seed), 2 * k + 1)
+        sol = solve_strengths(PointSet(z))
+        assume(sol.nullity == 1)
+        g = sol.strengths.values
+        at = int(np.argmax(np.abs(g)))
+        minors = pfaffian_minors(build_matrix(z).entries)
+        sigma = sol.kernel.sigma
+        tol = 100 * np.finfo(float).eps * sigma[0] / sigma[sol.kernel.rank - 1] * z.size
+        assert np.abs(minors / minors[at] - g / g[at]).max() <= tol

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stillflow import (
+    DELTA_MIN_DEFAULT,
     ConvergenceFailure,
     OddDimension,
     build_matrix,
@@ -515,3 +516,55 @@ class TestPfaffianProperties:
         assert pfaffian(padded) == pytest.approx(pf, rel=1e-14)
         if n <= 8:
             assert pf == pytest.approx(pfaffian_by_expansion(a), rel=1e-12)
+
+
+@st.composite
+def skew_configurations(draw):
+    """2 to 25 points at random under a random similarity z -> s z + b,
+    then possibly one of them moved to 1.3 to 1000 times the separation
+    floor from another. No regular polygon: its nilpotent part makes the
+    eigenvalues too ill-conditioned for either property below."""
+    n = draw(st.integers(2, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = 10.0 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.uniform())
+    z = s * random_points(rng, n, min_gap=1e-3) + complex(*rng.uniform(-5, 5, 2))
+    if draw(st.booleans()):
+        i, j = rng.choice(n, 2, replace=False)
+        gap = DELTA_MIN_DEFAULT * 10.0 ** draw(st.floats(0.1, 3.0))
+        z[j] = z[i] + gap * np.exp(2j * np.pi * rng.uniform())
+    return build_matrix(z).entries
+
+
+class TestSkewPairing:
+    """A complex skew-symmetric A is unitarily congruent to a direct sum of
+    2x2 blocks [[0, s], [-s, 0]] (Youla), so its singular values come in
+    equal pairs, plus one zero for odd n; and det(lambda I - A) =
+    (-1)^n det(-lambda I - A), so its eigenvalues are closed under
+    negation. build_matrix's A is skew bit for bit, so only the solvers'
+    rounding separates the partners. Tolerances are relative to sigma_max:
+    over 12000 draws, the worst singular pair differed by 1.4 n eps
+    sigma_max, and the worst eigenvalue by 1.2e-12 sigma_max from its
+    negated partner."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(skew_configurations())
+    def test_singular_values_come_in_pairs(self, a):
+        sigma = svd(a).sigma
+        n = sigma.size
+        gaps = sigma[0:n - 1:2] - sigma[1::2]
+        if n % 2:
+            gaps = np.append(gaps, sigma[-1])
+        assert np.abs(gaps).max() <= 100 * n * np.finfo(float).eps * sigma[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(skew_configurations())
+    def test_eigenvalues_are_closed_under_negation(self, a):
+        lam = eigenvalues(a).lambdas
+        partners = list(-lam)
+        worst = 0.0
+        for v in lam:
+            dist = np.abs(v - np.array(partners))
+            k = int(dist.argmin())
+            worst = max(worst, float(dist[k]))
+            partners.pop(k)
+        assert worst <= 1e-9 * svd(a).sigma[0]

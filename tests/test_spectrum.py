@@ -21,6 +21,7 @@ from stillflow import (
     spectral_report,
 )
 
+from known_configurations import adler_moser_9, polygon_plus_centre
 from test_core import random_points
 
 
@@ -265,3 +266,53 @@ class TestReportFromSolution:
                     spectral_report(kernel, mode=mode, rel_tol=0.5)):
             for field in dataclasses.fields(SpectralReport):
                 assert same_bits(getattr(via, field.name), getattr(direct, field.name)), field
+
+
+def assert_report_uses_the_public_helpers(a, mode):
+    """spectral_report normalizes LAPACK's sigma[:rank] and takes its
+    entropy without re-checking them; every figure must be the public
+    functions' to the bit."""
+    report = spectral_report(a, mode=mode)
+    nonzero = report.sigma_raw[: report.rank]
+    normalized = normalize_spectrum(nonzero, mode=mode)
+    assert same_bits(report.sigma_normalized, normalized)
+    assert not report.sigma_normalized.flags.writeable
+    assert same_bits(report.entropy, shannon_entropy(normalized))
+    assert same_bits(report.spectral_gap_raw, float(nonzero[-1]))
+    assert same_bits(report.spectral_gap_normalized, float(normalized[-1]))
+
+
+class TestReportMatchesPublicHelpers:
+    @settings(max_examples=150, deadline=None)
+    @given(configurations(), st.sampled_from(["power", "linear"]))
+    def test_random(self, case, mode):
+        z, _ = case
+        points = PointSet(z)
+        assert_report_uses_the_public_helpers(build_matrix(points), mode)
+        if z.size % 2:
+            assert_report_uses_the_public_helpers(solve_strengths(points).kernel, mode)
+
+    @pytest.mark.parametrize("mode", ["power", "linear"])
+    @pytest.mark.parametrize("z", [polygon_plus_centre(7)[0], adler_moser_9(0.5 + 1j, 2.0)[0]],
+                             ids=["heptagon_centre", "adler_moser_9"])
+    def test_known_kernels(self, z, mode):
+        points = PointSet(z)
+        assert_report_uses_the_public_helpers(build_matrix(points), mode)
+        assert_report_uses_the_public_helpers(solve_strengths(points).kernel, mode)
+
+    @pytest.mark.parametrize("a", [build_matrix([0j, 1e300 + 0j, -1e300 + 0j]),
+                                   1e200 * build_matrix([0j, 1 + 0j, 1j, 1 + 1j]).entries],
+                             ids=["sigma_squared_underflows", "sigma_squared_overflows"])
+    def test_power_weights_out_of_range_are_refused_as_by_the_helpers(self, a):
+        report = nullspace(a)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(InvalidDistribution, match="entries must be positive"):
+                shannon_entropy(normalize_spectrum(report.sigma[: report.rank]))
+            with pytest.raises(InvalidDistribution, match="entries must be positive"):
+                spectral_report(a)
+
+    def test_rank_zero_and_mode_are_still_refused(self):
+        with pytest.raises(EmptySpectrum, match="all singular values are zero"):
+            spectral_report(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="mode must be one of"):
+            spectral_report(build_matrix([0j, 1 + 0j, 1j]), mode="cubic")

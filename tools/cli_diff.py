@@ -33,10 +33,16 @@ import tempfile
 from pathlib import Path
 
 #: Input files that no generator makes: a pair that coincides, a pair under
-#: the separation floor, a NaN coordinate, and the regular 7-gon plus its
-#: centre (nullity 2), with and without its equilibrium strengths.
+#: the separation floor, a NaN coordinate, the regular 7-gon plus its
+#: centre (nullity 2), with and without its equilibrium strengths, and the
+#: solved evenly spaced 7-point line on [0, 1] with its strengths scaled by
+#: 1e-170, whose squared norm underflows a double.
 _HEPTAGON = [[math.cos(2.0 * math.pi * k / 7), math.sin(2.0 * math.pi * k / 7)]
              for k in range(7)] + [[0.0, 0.0]]
+_LINE7 = [0.0, 0.16666666666666666, 0.3333333333333333, 0.5, 0.6666666666666666,
+          0.8333333333333333, 1.0]
+_LINE7_STRENGTHS = [1.0, -0.5536058619359824, 0.9211723871962987, -0.5796567682221373,
+                    0.9211723871962975, -0.5536058619359803, 0.9999999999999997]
 INPUT_FILES = {
     "coincident.json": {"points": [[0, 0], [1, 0], [0, 0]]},
     "near.json": {"points": [[0, 0], [1e-12, 0], [1, 0]]},
@@ -44,6 +50,8 @@ INPUT_FILES = {
     "heptagon_centre.json": {"points": _HEPTAGON},
     "heptagon_centre_solved.json": {"points": _HEPTAGON,
                                     "strengths": [[1.0, 0.0]] * 7 + [[-3.0, 0.0]]},
+    "line7_tiny_solved.json": {"points": [[x, 0.0] for x in _LINE7],
+                               "strengths": [[g * 1e-170, 0.0] for g in _LINE7_STRENGTHS]},
 }
 
 #: Configurations generated by INVOCATIONS and solved in both modes.
@@ -90,6 +98,7 @@ INVOCATIONS = [
     *(f"verify --in {name}.solved.json --t-final 0.75"
       for name in ("c7", "l21", "e21", "p9", "c201")),
     "verify --in heptagon_centre_solved.json --t-final 0.75",
+    "verify --in line7_tiny_solved.json",
     "verify --in c7.solved.json",
     "verify --in l21.solved.json",
     "verify --in c7.solved.json --drift-tol 0",
