@@ -8,6 +8,7 @@ every singularity stationary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,23 @@ def as_strength_values(strengths) -> ComplexArray:
     if isinstance(strengths, StrengthVector):
         return strengths.values
     return _as_complex_vector(strengths, "strengths")
+
+
+def _adopt(cls, **field):
+    """An instance of the frozen dataclass cls holding the given arrays, which
+    nothing else holds, without its constructor's checks or copies; the
+    arrays are made read-only."""
+    obj = object.__new__(cls)
+    for name, arr in field.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return obj
+
+
+def _unit_scaled(parts: FloatArray, peak: float) -> FloatArray:
+    """parts * 2^-e, e the exponent of peak > 0, so that peak * 2^-e is in
+    [0.5, 1): exact wherever the parts stay normal doubles."""
+    return np.ldexp(parts, -math.frexp(peak)[1])
 
 
 def _inputs(points, strengths) -> tuple[ComplexArray, ComplexArray]:
@@ -155,15 +173,6 @@ class StrengthVector:
         if self.values.size == 0:
             raise ValueError("strength vector is empty")
 
-    @classmethod
-    def _adopt(cls, values: ComplexArray) -> "StrengthVector":
-        """Wrap a finite, non-empty complex vector that nothing else holds,
-        without a copy; the array is made read-only."""
-        values.setflags(write=False)
-        strengths = object.__new__(cls)
-        object.__setattr__(strengths, "values", values)
-        return strengths
-
     @property
     def n(self) -> int:
         return self.values.size
@@ -218,15 +227,6 @@ class ConfigurationMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @classmethod
-    def _adopt(cls, entries: ComplexArray) -> "ConfigurationMatrix":
-        """Wrap a square, finite, skew complex array that nothing else holds,
-        without a copy; the array is made read-only."""
-        entries.setflags(write=False)
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
-        return matrix
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -261,4 +261,4 @@ def build_matrix(points: PointSet) -> ConfigurationMatrix:
     if not isinstance(points, PointSet):
         points = PointSet(points)
     diff = _differences(points.positions, *_pair_buffer(points.n))
-    return ConfigurationMatrix._adopt(np.divide(1.0, diff, out=diff))
+    return _adopt(ConfigurationMatrix, entries=np.divide(1.0, diff, out=diff))

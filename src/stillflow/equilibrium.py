@@ -18,14 +18,17 @@ from . import linalg
 from .core import (
     ComplexArray,
     ConfigurationMatrix,
-    DELTA_MIN_DEFAULT,
     PointSet,
     StrengthVector,
+    _adopt,
+    _check_separation,
     _inputs,
+    _unit_scaled,
     as_strength_values,
     build_matrix,
+    pairwise_distances,
 )
-from .errors import DegenerateConfiguration, NoEquilibrium, ZeroStrengths
+from .errors import NoEquilibrium, ZeroStrengths
 
 LEAD_TOL = 1e-8
 CLASS_TOL = 1e-6
@@ -104,7 +107,7 @@ def _residual(m: ComplexArray, gamma: ComplexArray) -> float:
     peak = float(np.abs(parts).max())
     if peak == 0.0:
         raise ZeroStrengths("residual of an all-zero strength vector is undefined")
-    scaled = np.ldexp(parts, -math.frexp(peak)[1]).view(np.complex128)
+    scaled = _unit_scaled(parts, peak).view(np.complex128)
     return _norm(m @ scaled) / _norm(scaled)
 
 
@@ -152,11 +155,18 @@ def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
     if count is None:
         count = linalg.zero_eigenvalue_multiplicity(a)
     return EquilibriumSolution(
-        strengths=StrengthVector._adopt(strengths),
+        strengths=_adopt(StrengthVector, values=strengths),
         residual=_residual(a.entries, strengths),
         zero_eigenvalue_multiplicity=count,
         kernel=report,
     )
+
+
+def _check_apart(z) -> None:
+    """Refuse points z with a pair closer than the separation floor, without
+    numpy's warning where a difference overflows or is inf - inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_separation(pairwise_distances(np.array(z, dtype=np.complex128)))
 
 
 def collinear_three_closed_form(x1: float, x2: float, x3: float) -> StrengthVector:
@@ -167,10 +177,7 @@ def collinear_three_closed_form(x1: float, x2: float, x3: float) -> StrengthVect
     gives (1, -0.5, 1).
     """
     xs = (float(x1), float(x2), float(x3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(xs[i] - xs[j]) < DELTA_MIN_DEFAULT:
-                raise DegenerateConfiguration(f"abscissae {i} and {j} coincide")
+    _check_apart(xs)
     if not (xs[0] < xs[1] < xs[2]):
         raise ValueError(f"abscissae must be strictly increasing, got {xs}")
     g2 = -(xs[2] - xs[1]) / (xs[2] - xs[0])
@@ -182,8 +189,7 @@ def _triangle_apex(z) -> complex:
     """z as a complex apex of the triangle (0, 1, z), refused within the
     separation floor of either base point."""
     z = complex(z)
-    if abs(z) < DELTA_MIN_DEFAULT or abs(z - 1.0) < DELTA_MIN_DEFAULT:
-        raise DegenerateConfiguration(f"triangle apex {z} collides with a base point")
+    _check_apart((0.0, 1.0, z))
     return z
 
 

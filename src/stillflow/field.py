@@ -47,7 +47,7 @@ def _cpu_count() -> int:
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned view rectangle, with finite bounds and finite widths."""
+    """Axis-aligned rectangle, with finite bounds and finite widths."""
 
     x_min: float
     x_max: float
@@ -58,8 +58,8 @@ class Window:
         if not (self.x_min < self.x_max and self.y_min < self.y_max
                 and math.isfinite(self.x_max - self.x_min)
                 and math.isfinite(self.y_max - self.y_min)):
-            raise ValueError(f"window rectangle is empty, or its bounds or widths"
-                             f" are not finite: {self}")
+            raise ValueError(f"rectangle is empty, or its bounds or widths are not"
+                             f" finite: {self}")
 
     def contains(self, z: complex) -> bool:
         return self.x_min <= z.real <= self.x_max and self.y_min <= z.imag <= self.y_max

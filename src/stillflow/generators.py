@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import MAX_POINTS, PointSet
 from .errors import DegenerateConfiguration
+from .field import Window
 
 #: Dense table resolution for arclength inversion.
 ARCLENGTH_SAMPLES = 100_000
@@ -57,21 +58,10 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Axis-aligned rectangle, with finite bounds and finite widths, and the
-    seed for uniform draws inside it."""
+class RegionSpec(Window):
+    """A Window and the seed for uniform draws inside it."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
     seed: int = 0
-
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max
-                and math.isfinite(self.x_max - self.x_min)
-                and math.isfinite(self.y_max - self.y_min)):
-            raise ValueError(f"region rectangle is empty or not finite: {self}")
 
 
 def _check_count(n: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySpectrum, InvalidDistribution
-from .core import FloatArray
+from .core import FloatArray, _unit_scaled
 from . import linalg
 
 #: Default normalization: sigma^2 / sum sigma^2. The linear variant
@@ -58,7 +58,10 @@ def _check_mode(mode: str) -> None:
 
 
 def _normalized(sigma: FloatArray, mode: str) -> FloatArray:
-    """weights / weights.sum() of a positive spectrum, read-only."""
+    """weights / weights.sum() of a positive descending spectrum, read-only,
+    with sigma first scaled by 2^-e, e the exponent of sigma[0]: the result is
+    the same at any scale, to the bit where the unscaled weights are normal."""
+    sigma = _unit_scaled(sigma, float(sigma[0]))
     weights = sigma * sigma if mode == "power" else sigma
     out = weights / weights.sum()
     out.setflags(write=False)
@@ -127,8 +130,8 @@ def spectral_report(a, mode: str = "power", rel_tol: float = 1e-10) -> SpectralR
         raise EmptySpectrum("all singular values are zero")
     # LAPACK's sigma is finite and descending, and the rank counts only entries
     # above a threshold >= 0, so of the public helpers' checks only one can
-    # fail: where sigma^2 (or, in linear mode, the sum) under- or overflows,
-    # the smallest weight comes out 0 or NaN
+    # fail: in power mode, a kept sigma below about 1e-162 sigma[0] squares
+    # to 0 even after the scaling
     sigma = report.sigma
     nonzero = sigma[: report.rank]
     normalized = _normalized(nonzero, mode)

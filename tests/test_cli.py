@@ -180,11 +180,11 @@ class TestGenerate:
         (["--curve", "figure_eight", "--random", "--phase", "nan"],
          "phase must be finite, got nan"),
         (["--plane", "--bounds", "0", "inf", "0", "1"],
-         "region rectangle is empty or not finite:"
+         "rectangle is empty, or its bounds or widths are not finite:"
          " RegionSpec(x_min=0.0, x_max=inf, y_min=0.0, y_max=1.0, seed=0)"),
         # finite bounds whose width overflows
         (["--plane", "--bounds", " -1e308", "1e308", "0", "1"],
-         "region rectangle is empty or not finite:"
+         "rectangle is empty, or its bounds or widths are not finite:"
          " RegionSpec(x_min=-1e+308, x_max=1e+308, y_min=0.0, y_max=1.0, seed=0)"),
     ], ids=["circle-radius", "circle-phase", "curve-phase", "random-curve-phase", "plane-bounds",
             "plane-width"])

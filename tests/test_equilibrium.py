@@ -1,5 +1,7 @@
 """Strength solving, closed forms, classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -127,6 +129,13 @@ class TestCollinearClosedForm:
 
 
 class TestTriangleClosedForm:
+    def test_apex_at_infinity_gives_the_limit_without_a_warning(self):
+        # the separation check's differences z - z are inf - inf there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = triangle_closed_form(complex(np.inf, 0.0))
+        assert np.array_equal(g.values, [0.0, 0.0, 1.0])
+
     def test_right_isoceles(self):
         g = triangle_closed_form(1j)
         a = build_matrix([0j, 1 + 0j, 1j])
@@ -196,11 +205,13 @@ class TestTriangleEigenvalues:
 
     @pytest.mark.parametrize("z", [1e-12 + 0j, 1 + 1e-12j])
     def test_rejects_vertex_collision_like_the_closed_form(self, z):
+        base = round(z.real)  # the base point, 0 or 1, that z collides with
         with pytest.raises(DegenerateConfiguration) as closed:
             triangle_closed_form(z)
         with pytest.raises(DegenerateConfiguration) as eig:
             triangle_eigenvalues(z)
-        assert str(eig.value) == str(closed.value) == f"triangle apex {z} collides with a base point"
+        assert str(eig.value) == str(closed.value) == (
+            f"points {base} and 2 are separated by 1.000e-12 (< delta_min 1.000e-09)")
 
     def test_pure_imaginary_pair_plus_zero(self):
         lam = triangle_eigenvalues(0.5 + 0j).lambdas

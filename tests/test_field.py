@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from stillflow import (
     PointSet,
+    RegionSpec,
     SingularPoint,
     StrengthVector,
     UndefinedFarField,
@@ -616,8 +617,14 @@ class TestDefaultWindow:
         (-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1.7e308, 1e308),
     ])
     def test_window_rejects_non_finite_bounds(self, bounds):
-        with pytest.raises(ValueError, match="not finite"):
-            Window(*bounds)
+        for rectangle in (Window, RegionSpec):
+            with pytest.raises(ValueError, match="not finite"):
+                rectangle(*bounds)
+
+    def test_region_spec_is_a_window_with_a_seed(self):
+        region = RegionSpec(-1.0, 1.0, -2.0, 2.0, seed=5)
+        assert isinstance(region, Window)
+        assert region.contains(1.5j) and region.seed == 5
 
 
 class TestStreamlines:
