@@ -9,6 +9,7 @@ signs of the strength components.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -180,8 +181,10 @@ def collinear_three_closed_form(x1: float, x2: float, x3: float) -> StrengthVect
     _check_apart(xs)
     if not (xs[0] < xs[1] < xs[2]):
         raise ValueError(f"abscissae must be strictly increasing, got {xs}")
-    g2 = -(xs[2] - xs[1]) / (xs[2] - xs[0])
-    g3 = (xs[2] - xs[1]) / (xs[1] - xs[0])
+    # the differences of the abscissae scaled by a power of two do not overflow
+    u1, u2, u3 = _unit_scaled(np.array(xs), max(map(abs, xs))).tolist()
+    g2 = -(u3 - u2) / (u3 - u1)
+    g3 = (u3 - u2) / (u2 - u1)
     return StrengthVector(np.array([1.0, g2, g3], dtype=np.complex128))
 
 
@@ -217,6 +220,10 @@ def triangle_eigenvalues(z: complex) -> linalg.EigenResult:
     """
     z = _triangle_apex(z)
     root = 1j * (1.0 - z + z * z) / (z * (1.0 - z))
+    if not cmath.isfinite(root):
+        # z * z overflowed: the same quotient in w = 1/z, which tends to -i
+        w = 1.0 / z
+        root = 1j * (w * w - w + 1.0) / (w - 1.0)
     return linalg._by_modulus(np.array([0.0 + 0.0j, root, -root]))
 
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexArray, ConfigurationMatrix, FloatArray, _check_skew, _check_square
+from .core import (
+    ComplexArray, ConfigurationMatrix, FloatArray, _check_skew, _check_square, _unit_scaled,
+)
 from .errors import ConvergenceFailure, OddDimension
 
 ZERO_EIG_TOL = 1e-8
@@ -153,6 +155,11 @@ def _by_modulus(lam: ComplexArray) -> EigenResult:
     return EigenResult(_readonly(lam[np.lexsort((np.angle(lam), -np.abs(lam)))]))
 
 
+def _ldexp(x: complex, e: int) -> complex:
+    """x * 2^e, part by part: exact where the parts stay normal doubles."""
+    return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+
+
 def _unsorted_eigenvalues(m: ComplexArray) -> ComplexArray:
     """eigenvalues' values of a checked square matrix, in no set order."""
     n = m.shape[0]
@@ -160,8 +167,14 @@ def _unsorted_eigenvalues(m: ComplexArray) -> ComplexArray:
         root = 1j * m[0, 1]
         return np.array([root, -root])
     if n == 3 and _is_exactly_skew(m):
-        s = m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2
-        root = 1j * np.sqrt(np.complex128(s))
+        # the entries are squared scaled by 2^-e, e the exponent of their
+        # largest part, and the root scaled back: nothing over- or underflows,
+        # and where the unscaled squares are normal every bit stays
+        a, b, c = m[0, 1].item(), m[0, 2].item(), m[1, 2].item()
+        e = math.frexp(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag),
+                           abs(c.real), abs(c.imag)))[1]
+        a, b, c = _ldexp(a, -e), _ldexp(b, -e), _ldexp(c, -e)
+        root = _ldexp(1j * np.sqrt(np.complex128(a * a + b * b + c * c)), e)
         return np.array([0.0 + 0.0j, root, -root])
     return np.linalg.eigvals(m)
 
@@ -175,7 +188,10 @@ def zero_eigenvalue_multiplicity(a) -> int:
     The count takes a dense eigenvalue solve (closed forms at n = 2 and 3);
     solve_strengths calls it only where _certified_zero_count declines.
     """
-    m = _as_square(a)
+    # on m scaled by 2^-e, e the exponent of its largest part, whose norm and
+    # closed-form squares neither over- nor underflow
+    parts = np.ascontiguousarray(_as_square(a)).view(np.float64)
+    m = _unit_scaled(parts, float(np.abs(parts).max(initial=0.0))).view(np.complex128)
     lam = _unsorted_eigenvalues(m)
     scale = float(np.linalg.norm(m, "fro"))
     return int(np.count_nonzero(np.abs(lam) <= ZERO_EIG_TOL * scale * m.shape[0]))
@@ -202,7 +218,7 @@ def _certified_zero_count(report: RankReport) -> int | None:
     if report.nullity != 1:
         return None
     sigma, rank = report.sigma, report.rank
-    cut = ZERO_EIG_TOL * math.sqrt(float(sigma @ sigma)) * sigma.size
+    cut = ZERO_EIG_TOL * math.hypot(*sigma.tolist()) * sigma.size
     v0 = report.basis[:, 0]
     if (sigma[rank] * _CERTIFICATE_MARGIN <= cut
             and sigma[rank - 1] * abs(v0 @ v0) >= _CERTIFICATE_MARGIN * cut):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stillflow import (
@@ -26,6 +26,7 @@ from stillflow import (
     solve_strengths,
     triangle_closed_form,
     triangle_eigenvalues,
+    zero_eigenvalue_multiplicity,
 )
 
 from stillflow.core import pairwise_distances
@@ -469,6 +470,67 @@ class TestResidualScale:
             # subnormal parts of 2^k Gamma lost bits: at most 2^-1074 each,
             # against a norm of at least 2^-1000
             assert abs(residual(a, scaled) - want) <= 1e-20 * np.abs(a.entries).max()
+
+
+def scaled_by(values, k):
+    """2^k times a real or complex array, exactly where the products are normal."""
+    arr = np.asarray(values)
+    return np.ldexp(arr.view(np.float64), k).view(arr.dtype)
+
+
+class TestZeroCountScale:
+    """The zero count and the 3x3 closed form scale A by a power of two
+    before they square its entries, so 2^k A has A's zero count and
+    2^k times its eigenvalues over the whole exponent range. Unscaled, the
+    squares over- or underflowed: A's Frobenius norm made the cutoff
+    infinite or zero, and the closed form returned NaN or zeros."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 25), st.integers(0, 2**32 - 1), st.integers(-1000, 990))
+    def test_power_of_two_scale_keeps_the_count(self, n, seed, k):
+        a = build_matrix(random_points(np.random.default_rng(seed), n)).entries
+        assert zero_eigenvalue_multiplicity(scaled_by(a, k)) == zero_eigenvalue_multiplicity(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(-25, 1021))
+    def test_solved_points_at_any_scale_keep_the_count(self, half, seed, k):
+        # coordinates within [-1, 1] times 2^1021 stay below MAX_COORDINATE,
+        # and gaps of 0.05 times 2^-25 above the separation floor
+        z = random_points(np.random.default_rng(seed), 2 * half + 1)
+        want = solve_strengths(PointSet(z))
+        got = solve_strengths(PointSet(scaled_by(z, k)))
+        assume(got.nullity == want.nullity == 1)
+        assert got.zero_eigenvalue_multiplicity == want.zero_eigenvalue_multiplicity
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-1000, 990))
+    def test_three_by_three_eigenvalues_scale_exactly(self, seed, k):
+        a = build_matrix(random_points(np.random.default_rng(seed), 3)).entries
+        got = eigenvalues(scaled_by(a, k)).lambdas
+        assert got.tobytes() == scaled_by(eigenvalues(a).lambdas, k).tobytes()
+
+
+class TestClosedFormScale:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-20, 1024))
+    @example(seed=0, k=1024)  # x3 - x1 = 1.19 * 2^1024 overflows unscaled
+    def test_collinear_keeps_every_bit_at_any_scale(self, seed, k):
+        xs = np.sort(np.random.default_rng(seed).uniform(-1, 1, 3))
+        assume(np.ldexp(np.diff(xs).min(), k) >= 2 * DELTA_MIN_DEFAULT)
+        got = collinear_three_closed_form(*scaled_by(xs, k)).values
+        assert got.tobytes() == collinear_three_closed_form(*xs).values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-6, 300), st.floats(0, 2 * np.pi))
+    def test_triangle_eigenvalues_are_finite_up_to_huge_apexes(self, log_modulus, angle):
+        z = 10.0**log_modulus * complex(np.cos(angle), np.sin(angle))
+        assume(min(abs(z), abs(z - 1)) >= 1e-6)
+        got = triangle_eigenvalues(z).lambdas
+        want = eigenvalues(build_matrix([0j, 1 + 0j, z])).lambdas
+        assert np.isfinite(got).all()
+        # the matrix route loses about 1e-8 near the equilateral apexes
+        tol = 1e-6 * max(np.abs(want).max(), 1.0)
+        assert all(np.abs(want - lam).min() <= tol for lam in got)
 
 
 def assert_solution_uses_the_public_helpers(points):

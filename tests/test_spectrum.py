@@ -14,9 +14,7 @@ from stillflow import (
     PointSet,
     SpectralReport,
     build_matrix,
-    normalize_spectrum,
     nullspace,
-    shannon_entropy,
     solve_strengths,
     spectral_report,
 )
@@ -25,83 +23,57 @@ from known_configurations import adler_moser_9, polygon_plus_centre
 from test_core import random_points
 
 
-class TestNormalize:
-    @pytest.mark.parametrize("sigma, message", [
-        ([[1.0, 0.5]], r"spectrum must be one-dimensional, got shape \(1, 2\)"),
-        ([np.inf, 1.0], "spectrum contains non-finite entries"),
-        ([1.0, np.nan], "spectrum contains non-finite entries"),
-    ])
-    def test_rejects_a_spectrum_that_is_not_a_finite_vector(self, sigma, message):
-        with pytest.raises(ValueError, match=message):
-            normalize_spectrum(sigma)
+def skew_blocks(sigma) -> np.ndarray:
+    """The block-diagonal skew matrix whose block k is sigma_k [[0, 1], [-1, 0]]:
+    its singular values are each sigma_k twice."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    a = np.zeros((2 * sigma.size, 2 * sigma.size), dtype=np.complex128)
+    k = 2 * np.arange(sigma.size)
+    a[k, k + 1], a[k + 1, k] = sigma, -sigma
+    return a
 
+
+class TestNormalize:
     def test_flat_pair(self):
         for mode in ("power", "linear"):
-            p = normalize_spectrum(np.array([1.0, 1.0]), mode=mode)
+            p = spectral_report(skew_blocks([1.0]), mode=mode).sigma_normalized
             assert np.allclose(p, [0.5, 0.5])
 
     def test_power_weighting(self):
-        p = normalize_spectrum(np.array([3.0, 3, 2, 2, 1, 1]), mode="power")
+        p = spectral_report(skew_blocks([3.0, 2, 1]), mode="power").sigma_normalized
         expect = np.array([9, 9, 4, 4, 1, 1]) / 28.0
         assert np.allclose(p, expect, atol=1e-14)
 
     def test_linear_weighting(self):
-        p = normalize_spectrum(np.array([3.0, 3, 2, 2, 1, 1]), mode="linear")
+        p = spectral_report(skew_blocks([3.0, 2, 1]), mode="linear").sigma_normalized
         expect = np.array([3, 3, 2, 2, 1, 1]) / 12.0
         assert np.allclose(p, expect, atol=1e-14)
 
     def test_zeros_dropped(self):
-        p = normalize_spectrum(np.array([2.0, 1.0, 0.0, 0.0]))
-        assert p.shape == (2,)
-        assert p.sum() == pytest.approx(1.0)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(EmptySpectrum):
-            normalize_spectrum(np.zeros(4))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            normalize_spectrum(np.array([1.0]), mode="cubic")
-
-    def test_requires_descending(self):
-        with pytest.raises(ValueError):
-            normalize_spectrum(np.array([1.0, 2.0]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            normalize_spectrum(np.array([1.0, -0.1]))
+        rep = spectral_report(skew_blocks([2.0, 1.0, 0.0, 0.0]))
+        assert rep.rank == 4 and rep.sigma_normalized.shape == (4,)
+        assert rep.sigma_normalized.sum() == pytest.approx(1.0)
 
 
 class TestEntropy:
-    @pytest.mark.parametrize("p", [[], [[0.5, 0.5]]])
-    def test_rejects_an_empty_or_nested_distribution(self, p):
-        with pytest.raises(InvalidDistribution, match="distribution must be a non-empty vector"):
-            shannon_entropy(p)
-
     def test_flat_pair_gives_log_two(self):
-        assert shannon_entropy(np.array([0.5, 0.5])) == pytest.approx(np.log(2))
-
-    def test_singleton_gives_zero(self):
-        assert shannon_entropy(np.array([1.0])) == pytest.approx(0.0, abs=1e-15)
+        for mode in ("power", "linear"):
+            assert spectral_report(skew_blocks([1.0]), mode=mode).entropy == pytest.approx(np.log(2))
 
     def test_flat_k_gives_log_k(self):
-        for k in (2, 3, 6, 10):
-            s = shannon_entropy(np.full(k, 1.0 / k))
-            assert s == pytest.approx(np.log(k), rel=1e-12)
+        # k equal pairs: 2k equal singular values
+        for k in (1, 2, 3, 5):
+            for mode in ("power", "linear"):
+                s = spectral_report(skew_blocks(np.full(k, 0.7)), mode=mode).entropy
+                assert s == pytest.approx(np.log(2 * k), rel=1e-12)
 
     def test_flat_distribution_maximizes(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
-            k = int(rng.integers(2, 9))
-            w = rng.uniform(0.01, 1.0, k)
-            p = np.sort(w / w.sum())[::-1]
-            assert shannon_entropy(p) <= np.log(k) + 1e-12
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(InvalidDistribution):
-            shannon_entropy(np.array([0.4, 0.4]))
-        with pytest.raises(InvalidDistribution):
-            shannon_entropy(np.array([1.2, -0.2]))
+            k = int(rng.integers(1, 9))
+            sigma = np.sort(rng.uniform(0.01, 1.0, k))[::-1]
+            for mode in ("power", "linear"):
+                assert spectral_report(skew_blocks(sigma), mode=mode).entropy <= np.log(2 * k) + 1e-12
 
 
 class TestSpectralReport:
@@ -157,9 +129,8 @@ class TestSpectralReport:
                 assert abs(p[k] - p[k + 1]) <= 1e-8
 
     def test_concentration_lowers_entropy(self):
-        flat = shannon_entropy(np.full(6, 1 / 6))
-        skew = normalize_spectrum(np.array([8.0, 8, 1, 1, 0.5, 0.5]), mode="power")
-        assert shannon_entropy(skew) < flat
+        flat = spectral_report(skew_blocks([1.0, 1, 1])).entropy
+        assert spectral_report(skew_blocks([8.0, 1, 0.5])).entropy < flat
 
 
 @st.composite
@@ -290,44 +261,49 @@ class TestReportFromSolution:
                 assert same_bits(getattr(via, field.name), getattr(direct, field.name)), field
 
 
-def assert_report_uses_the_public_helpers(a, mode):
-    """spectral_report normalizes LAPACK's sigma[:rank] and takes its
-    entropy without re-checking them; every figure must be the public
-    functions' to the bit."""
+def assert_report_follows_the_formula(a, mode):
+    """Every figure of spectral_report, to the bit, against its formula written
+    out here: sigma[:rank] scaled by 2^-e, e the exponent of sigma[0], weighed,
+    divided by its sum, and the entropy -sum(p ln p)."""
     report = spectral_report(a, mode=mode)
     nonzero = report.sigma_raw[: report.rank]
-    normalized = normalize_spectrum(nonzero, mode=mode)
-    assert same_bits(report.sigma_normalized, normalized)
+    scaled = np.ldexp(nonzero, -np.frexp(nonzero[0])[1])
+    weights = scaled**2 if mode == "power" else scaled
+    p = weights / weights.sum()
+    assert same_bits(report.sigma_normalized, p)
     assert not report.sigma_normalized.flags.writeable
-    assert same_bits(report.entropy, shannon_entropy(normalized))
+    assert same_bits(report.entropy, float(-(p * np.log(p)).sum()))
     assert same_bits(report.spectral_gap_raw, float(nonzero[-1]))
-    assert same_bits(report.spectral_gap_normalized, float(normalized[-1]))
+    assert same_bits(report.spectral_gap_normalized, float(p[-1]))
 
 
 class TestReportMatchesPublicHelpers:
+    """spectral_report against the formula of assert_report_follows_the_formula,
+    and the refusals it keeps."""
+
     @settings(max_examples=150, deadline=None)
     @given(configurations(), st.sampled_from(["power", "linear"]))
     def test_random(self, case, mode):
         z, _ = case
         points = PointSet(z)
-        assert_report_uses_the_public_helpers(build_matrix(points), mode)
+        assert_report_follows_the_formula(build_matrix(points), mode)
         if z.size % 2:
-            assert_report_uses_the_public_helpers(solve_strengths(points).kernel, mode)
+            assert_report_follows_the_formula(solve_strengths(points).kernel, mode)
 
     @pytest.mark.parametrize("mode", ["power", "linear"])
     @pytest.mark.parametrize("z", [polygon_plus_centre(7)[0], adler_moser_9(0.5 + 1j, 2.0)[0]],
                              ids=["heptagon_centre", "adler_moser_9"])
     def test_known_kernels(self, z, mode):
         points = PointSet(z)
-        assert_report_uses_the_public_helpers(build_matrix(points), mode)
-        assert_report_uses_the_public_helpers(solve_strengths(points).kernel, mode)
+        assert_report_follows_the_formula(build_matrix(points), mode)
+        assert_report_follows_the_formula(solve_strengths(points).kernel, mode)
 
     def test_extreme_scales_match_the_helpers(self):
         # unscaled, sigma^2 underflows for the first and overflows for the second
         for a in (build_matrix([0j, 1e300 + 0j, -1e300 + 0j]),
                   1e200 * build_matrix([0j, 1 + 0j, 1j, 1 + 1j]).entries):
             for mode in ("power", "linear"):
-                assert_report_uses_the_public_helpers(a, mode)
+                assert_report_follows_the_formula(a, mode)
 
     def test_kept_sigma_too_small_to_square_is_refused_as_by_the_helpers(self):
         # a tolerance that keeps sigma_4 = 1e-165 sigma_1, whose square is 0
@@ -335,8 +311,6 @@ class TestReportMatchesPublicHelpers:
         a = build_matrix([0j, 1 + 0j, 1e170 + 0j, 1e170 + 1e165 + 0j])
         report = nullspace(a, rel_tol=1e-250)
         assert report.rank == 4
-        with pytest.raises(InvalidDistribution, match="entries must be positive"):
-            shannon_entropy(normalize_spectrum(report.sigma))
         with pytest.raises(InvalidDistribution, match="entries must be positive"):
             spectral_report(a, rel_tol=1e-250)
         assert spectral_report(a, mode="linear", rel_tol=1e-250).rank == 4

@@ -36,8 +36,8 @@ from pathlib import Path
 #: the separation floor, a NaN coordinate, the regular 7-gon plus its
 #: centre (nullity 2), with and without its equilibrium strengths, the
 #: solved evenly spaced 7-point line on [0, 1] with its strengths scaled by
-#: 1e-170, whose squared norm underflows a double, and three points 1e300
-#: apart, whose squared singular values underflow one.
+#: 1e-170, whose squared norm underflows a double, and three and five points
+#: 1e300 apart, whose squared singular values and entries underflow one.
 _HEPTAGON = [[math.cos(2.0 * math.pi * k / 7), math.sin(2.0 * math.pi * k / 7)]
              for k in range(7)] + [[0.0, 0.0]]
 _LINE7 = [0.0, 0.16666666666666666, 0.3333333333333333, 0.5, 0.6666666666666666,
@@ -54,6 +54,8 @@ INPUT_FILES = {
     "line7_tiny_solved.json": {"points": [[x, 0.0] for x in _LINE7],
                                "strengths": [[g * 1e-170, 0.0] for g in _LINE7_STRENGTHS]},
     "far_apart.json": {"points": [[0.0, 0.0], [1e300, 0.0], [-1e300, 0.0]]},
+    "far5.json": {"points": [[0.0, 0.0], [1e300, 0.0], [-1e300, 0.0], [0.0, 1e300],
+                             [5e299, 3e299]]},
 }
 
 #: Configurations generated by INVOCATIONS and solved in both modes.
@@ -91,6 +93,7 @@ INVOCATIONS = [
     "spectrum --in p9.json --tol 1e-2",
     "solve --in far_apart.json",
     "spectrum --in far_apart.json",
+    "solve --in far5.json",
     # input errors
     "solve --in coincident.json",
     "spectrum --in near.json",
