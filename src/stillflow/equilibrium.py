@@ -134,7 +134,9 @@ def solve_strengths(points, rel_tol: float = 1e-10) -> EquilibriumSolution:
     graded and collinear inputs of up to a few tens of points); the
     regular odd polygons, larger nullities and inputs with eigenvalues
     near the count's cutoff take a dense eigenvalue solve instead. Both
-    routes give the same count.
+    routes give the same count, and both undercount a defective A: the
+    regular odd polygons of N >= 5 points report 0, though A is nilpotent
+    and the true count is N (see zero_eigenvalue_multiplicity).
 
     Raises
     ------

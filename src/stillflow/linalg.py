@@ -187,6 +187,10 @@ def zero_eigenvalue_multiplicity(a) -> int:
     cutoff proportional to max |lambda| would then count almost nothing.
     The count takes a dense eigenvalue solve (closed forms at n = 2 and 3);
     solve_strengths calls it only where _certified_zero_count declines.
+    It undercounts defective matrices: the regular odd N-gon's A is
+    nilpotent, so its true count is N, yet at N >= 5 the rounded
+    eigenvalues of that Jordan block sit above the cutoff and it returns 0
+    (ROADMAP.md, open item "The zero count from a Jordan chain").
     """
     # on m scaled by 2^-e, e the exponent of its largest part, whose norm and
     # closed-form squares neither over- nor underflow

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stillflow import (
     CollapseReached,
     CollisionAbort,
+    CurveSpec,
     DegenerateConfiguration,
     OrbitParams,
     PointSet,
@@ -21,6 +22,8 @@ from stillflow import (
     core,
     dynamics,
     fixedness_check,
+    generate_circle,
+    generate_polar_curve,
     integrate,
     integrate_tracer,
     point_velocities,
@@ -446,6 +449,19 @@ def oracle_cases():
     rng = np.random.default_rng(86)
     z = random_points(rng, 201, min_gap=1e-3)
     yield z, 1e-4 * (rng.standard_normal(201) + 1j * rng.standard_normal(201)), 0.02, 1e-3
+    # solved configurations where a stage's positions repeat the last evaluated
+    # ones to the bit: at every stage (the 21-gon), at about half of them (the
+    # flower), and at three stages of four for 44 steps, then at one or two
+    # as the rounding grows (the 51-gon)
+    for points in (solved_21_gon(), generate_polar_curve(CurveSpec("flower", phase=1.0), 21),
+                   generate_circle(51, phase=1.0)):
+        yield points.positions, solve_strengths(points).strengths.values, 0.75, 1e-3
+
+
+def solved_21_gon():
+    """The 21-gon at phase 1, whose equilibrium never moves at dt = 1e-3:
+    each RK4 increment rounds away against its position."""
+    return generate_circle(21, phase=1.0)
 
 
 class TestIntegrateOracle:
@@ -477,6 +493,62 @@ class TestIntegrateOracle:
             for b in trajs[i + 1:]:
                 assert not np.shares_memory(a.positions, b.positions)
         assert trajs[2].positions.tobytes() == trajs[0].positions.tobytes()
+
+    @pytest.mark.parametrize("run", [integrate, fixedness_check])
+    def test_repeated_positions_reuse_the_field(self, monkeypatch, run):
+        # the solved 21-gon repeats every stage's positions, so one sum serves
+        # all 750 steps; a moving system evaluates each of its four stages
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return field_sum(*args)
+
+        field_sum = dynamics._field_sum
+        monkeypatch.setattr(dynamics, "_field_sum", counting)
+        points = solved_21_gon()
+        run(points, solve_strengths(points).strengths, 0.75, 1e-3)
+        assert 1 <= len(calls) <= 2
+        calls.clear()
+        rng = np.random.default_rng(88)
+        run(random_points(rng, 7), 0.1 * (rng.standard_normal(7) + 1j * rng.standard_normal(7)),
+            0.05, 1e-3)
+        assert len(calls) == 4 * 50
+
+    def test_a_repeat_after_the_combination_reads_the_last_stage(self, monkeypatch):
+        # a field looked up by the differences it is handed: -w at z, 2w at
+        # stage 2, w at stage 3. Stage 4's positions z + h w repeat stage 3's,
+        # and with h / 6 = 2^-10 the next z is z + h w again, so that step's
+        # first stage repeats too. The combination doubles k3 in place: a
+        # memo left on k3 would hand the second step 2w instead of w.
+        h = 6.0 * 2.0**-10
+        z = np.array([0j, 1 + 0j])
+        w = np.array([2.0**-4, -(2.0**-4)], dtype=complex)
+
+        def differences(x):
+            return core._differences(x, *core._pair_buffer(x.size)).tobytes()
+
+        table = {differences(z): -w, differences(z - 0.5 * h * w): 2.0 * w,
+                 differences(z + h * w): w}
+
+        def velocities(x):
+            return table.get(differences(x), np.zeros(x.size, dtype=complex))
+
+        def by_table(diff, gamma, out):
+            out[:] = table.get(diff.tobytes(), 0.0)
+            return out
+
+        expected = [z]
+        for _ in range(2):
+            k1 = velocities(z)
+            k2 = velocities(z + 0.5 * h * k1)
+            k3 = velocities(z + 0.5 * h * k2)
+            k4 = velocities(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(z)
+        monkeypatch.setattr(dynamics, "_field_sum", by_table)
+        traj = integrate(expected[0], [1 + 0j, 1 + 0j], 2.0 * h, h)
+        assert traj.positions.tobytes() == np.array(expected).tobytes()
 
     def test_non_finite_stage_aborts(self):
         # 1e305 / 1e-8 overflows: the first stage is infinite, later ones NaN

@@ -355,6 +355,30 @@ class TestZeroMultiplicity:
         assert zero_eigenvalue_multiplicity(a) == 3
 
 
+class TestNilpotentPolygon:
+    """The regular odd N-gon's A is nilpotent, a single Jordan block of
+    size N: its SVD nullity is 1, yet (A / ||A||)^N vanishes to rounding, so
+    its zero count is N. The regular 4-, 6- and 8-gons have no kernel, and
+    that power stays above 1e-3 (0.11, 1.4e-2 and 1.9e-3). Only singular
+    values are taken. A similarity z -> a z + a c divides A by a; the
+    offset is tied to a so that the moved points keep their relative
+    rounding."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([*range(3, 16, 2), 4, 6, 8]), st.floats(-3, 3),
+           st.floats(0, 2 * np.pi), st.floats(-2, 2), st.floats(-2, 2))
+    def test_odd_polygons_are_nilpotent_and_even_ones_are_not(self, n, log_scale, angle, bx, by):
+        a = 10.0**log_scale * np.exp(1j * angle)
+        m = build_matrix(a * np.exp(2j * np.pi * np.arange(n) / n) + a * complex(bx, by))
+        power = np.linalg.matrix_power(m.entries / np.linalg.norm(m.entries, 2), n)
+        if n % 2:
+            assert nullspace(m).nullity == 1
+            assert np.linalg.norm(power, 2) <= 1e-15
+        else:
+            assert nullspace(m).nullity == 0
+            assert np.linalg.norm(power, 2) >= 1e-3
+
+
 class TestCertifiedZeroCount:
     """The zero count read from the rank report is the eigenvalue count
     wherever the certificate gives one."""

@@ -105,6 +105,17 @@ INVOCATIONS = [
     *(f"verify --in {name}.solved.json --t-final 0.75"
       for name in ("c7", "l21", "e21", "p9", "c201")),
     "verify --in heptagon_centre_solved.json --t-final 0.75",
+    # verify where RK4 stages repeat their positions to the bit: every stage
+    # (the 21-gon at phase 1), about half of them (the flower of 21 points at
+    # phase 1), and fewer as the run goes on (the 51-gon at phase 1, where
+    # some point moves every step)
+    "generate --circle --n 21 --phase 1 --out c21.json",
+    "generate --curve flower --n 21 --phase 1 --out f21.json",
+    "generate --circle --n 51 --phase 1 --out c51.json",
+    *(line for name in ("c21", "f21", "c51") for line in (
+        f"solve --in {name}.json --save-config {name}.solved.json",
+        f"verify --in {name}.solved.json --t-final 0.75",
+    )),
     "verify --in line7_tiny_solved.json",
     "verify --in c7.solved.json",
     "verify --in l21.solved.json",
