@@ -166,9 +166,9 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
     """integrate's and fixedness_check's RK4 run. next() first checks, allocates
     and yields (z0, ceil(t_final / dt), events), then (t, z) after each step.
 
-    A stage repeating the last evaluated positions to the bit copies their
-    row (the row written last, hit or miss: the combination overwrites k3),
-    and a z repeating the last one checked keeps its separation."""
+    A stage whose pairwise differences repeat, to the bit, those last summed
+    copies the row written last (hit or miss: the combination overwrites
+    k3), and a step's check keeps the separation of differences it passed."""
     if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"need finite t_final > 0 and dt > 0, got t_final={t_final}, dt={dt}")
     z, gamma = _inputs(points, strengths)
@@ -183,26 +183,18 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
     work = np.empty(n, dtype=np.complex128)
     events: list[CollisionEvent] = []
     warned: set[tuple[int, int]] = set()
-    # bytes of the positions last evaluated, the row they went to, bytes of the z last checked
-    key, last, checked = b"", k4, b""
+    # bytes of the differences last summed, whether a step's check passed them, the row written last
+    key, checked, last = b"", False, k4
+    sep, pair = math.inf, (0, 1)  # set by the first step's check
 
-    def evaluate(x, row, b, ready=False):
-        """x's field into row, copied from last if x's bytes b are key; ready: diff holds x's."""
-        nonlocal key, last
-        if b == key:
-            row[:] = last
-        else:
-            _field_sum(diff if ready else _differences(x, diff, diag), gamma, row)
-            key = b
-        last = row
-
-    yield z, steps, events
-    t = 0.0
-    while t < t_final - 1e-12 * max(t_final, 1.0):
-        h = min(dt, t_final - t)
-        if fresh := (b := z.tobytes()) != checked:
-            checked = b
-            np.abs(_differences(z, diff, diag), out=gap)
+    def evaluate(x, row, t=None):
+        """x's field into row, copied from last if the bytes of x's differences are
+        key. A step's first stage (t given) checks the separation first, unless
+        the differences are key and passed that check."""
+        nonlocal key, checked, last, sep, pair
+        same = (d := _differences(x, diff, diag).tobytes()) == key
+        if t is not None and not (same and checked):
+            np.abs(diff, out=gap)
             pair = _closest_pair(gap)
             sep = float(gap[pair])
             if sep < DELTA_MIN_DEFAULT:
@@ -211,13 +203,25 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
             if sep < 10.0 * DELTA_MIN_DEFAULT and pair not in warned:
                 warned.add(pair)
                 events.append(CollisionEvent(t, pair, sep))
-        evaluate(z, k1, b, fresh)
+        if same:
+            row[:] = last
+        else:
+            _field_sum(diff, gamma, row)
+            key, checked = d, False
+        checked = checked or t is not None
+        last = row
+
+    yield z, steps, events
+    t = 0.0
+    while t < t_final - 1e-12 * max(t_final, 1.0):
+        h = min(dt, t_final - t)
+        evaluate(z, k1, t)
         np.add(z, np.multiply(0.5 * h, k1, out=work), out=work)
-        evaluate(work, k2, work.tobytes())
+        evaluate(work, k2)
         np.add(z, np.multiply(0.5 * h, k2, out=work), out=work)
-        evaluate(work, k3, work.tobytes())
+        evaluate(work, k3)
         np.add(z, np.multiply(h, k3, out=work), out=work)
-        evaluate(work, k4, work.tobytes())
+        evaluate(work, k4)
         # A non-finite stage makes reach NaN, which aborts like a blow-up.
         reach = h * float(np.abs(stages, out=speed).max())
         if not reach <= 0.25 * sep:
@@ -242,8 +246,9 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     are recorded once per pair. Contact below the floor aborts, and so does
     a step whose RK4 stages would move a point by more than a quarter of the
     closest separation: past that, as near a collapsing pair, the distance
-    can change faster than the collision check samples it. A stage that
-    repeats the last evaluated positions to the bit reuses their field.
+    can change faster than the collision check samples it. A stage whose
+    pairwise differences repeat those last summed to the bit reuses their
+    field, which depends on the differences alone.
 
     Raises
     ------
@@ -276,9 +281,9 @@ def fixedness_check(points, strengths, t_final: float = 1.0, dt: float = 1e-3) -
     anything materially above that is not an equilibrium. A drift of zero
     bounds the speeds only below about ulp(|z|) / (2 dt), where each
     increment rounds away against its position; the kernel residual is
-    the finer check. Where every increment rounds away, each stage repeats
-    the last evaluated positions to the bit, and the run takes one field
-    sum (integrate's reuse rule)."""
+    the finer check. Where every increment rounds away against the
+    differences, each stage repeats those last summed to the bit, and the
+    run takes one field sum (integrate's reuse rule)."""
     run = _rk4_run(points, strengths, t_final, dt)
     z0 = next(run)[0]
     far = np.zeros(z0.size)

@@ -449,13 +449,20 @@ def oracle_cases():
     rng = np.random.default_rng(86)
     z = random_points(rng, 201, min_gap=1e-3)
     yield z, 1e-4 * (rng.standard_normal(201) + 1j * rng.standard_normal(201)), 0.02, 1e-3
-    # solved configurations where a stage's positions repeat the last evaluated
-    # ones to the bit: at every stage (the 21-gon), at about half of them (the
-    # flower), and at three stages of four for 44 steps, then at one or two
-    # as the rounding grows (the 51-gon)
+    # solved configurations where a stage's differences repeat those last
+    # summed to the bit: at every stage (the 21-gon), at two of three though
+    # a point moves every step (the flower), and at three stages of four for
+    # 44 steps, then at one or two as the rounding grows (the 51-gon)
     for points in (solved_21_gon(), generate_polar_curve(CurveSpec("flower", phase=1.0), 21),
                    generate_circle(51, phase=1.0)):
         yield points.positions, solve_strengths(points).strengths.values, 0.75, 1e-3
+    yield translating_pair() + (0.75, 1e-3)
+
+
+def translating_pair():
+    """An opposite pair on the real axis: both points move up alike every
+    step, so their difference stays -1 + 0j to the bit."""
+    return [0j, 1 + 0j], [1 + 0j, -1 + 0j]
 
 
 def solved_21_gon():
@@ -496,8 +503,9 @@ class TestIntegrateOracle:
 
     @pytest.mark.parametrize("run", [integrate, fixedness_check])
     def test_repeated_positions_reuse_the_field(self, monkeypatch, run):
-        # the solved 21-gon repeats every stage's positions, so one sum serves
-        # all 750 steps; a moving system evaluates each of its four stages
+        # the solved 21-gon repeats every stage's positions, and the
+        # translating pair every stage's differences, so one sum serves all
+        # 750 steps; a moving system evaluates each of its four stages
         calls = []
 
         def counting(*args):
@@ -510,6 +518,11 @@ class TestIntegrateOracle:
         run(points, solve_strengths(points).strengths, 0.75, 1e-3)
         assert 1 <= len(calls) <= 2
         calls.clear()
+        moved = run(*translating_pair(), 0.75, 1e-3)
+        assert len(calls) == 1
+        if run is fixedness_check:
+            assert moved > 0.1
+        calls.clear()
         rng = np.random.default_rng(88)
         run(random_points(rng, 7), 0.1 * (rng.standard_normal(7) + 1j * rng.standard_normal(7)),
             0.05, 1e-3)
@@ -517,10 +530,11 @@ class TestIntegrateOracle:
 
     def test_a_repeat_after_the_combination_reads_the_last_stage(self, monkeypatch):
         # a field looked up by the differences it is handed: -w at z, 2w at
-        # stage 2, w at stage 3. Stage 4's positions z + h w repeat stage 3's,
-        # and with h / 6 = 2^-10 the next z is z + h w again, so that step's
-        # first stage repeats too. The combination doubles k3 in place: a
-        # memo left on k3 would hand the second step 2w instead of w.
+        # stage 2, w at stage 3. Stage 4's positions z + h w, and so their
+        # differences, repeat stage 3's, and with h / 6 = 2^-10 the next z is
+        # z + h w again, so that step's first stage repeats too. The
+        # combination doubles k3 in place: a memo left on k3 would hand the
+        # second step 2w instead of w.
         h = 6.0 * 2.0**-10
         z = np.array([0j, 1 + 0j])
         w = np.array([2.0**-4, -(2.0**-4)], dtype=complex)

@@ -105,10 +105,10 @@ INVOCATIONS = [
     *(f"verify --in {name}.solved.json --t-final 0.75"
       for name in ("c7", "l21", "e21", "p9", "c201")),
     "verify --in heptagon_centre_solved.json --t-final 0.75",
-    # verify where RK4 stages repeat their positions to the bit: every stage
-    # (the 21-gon at phase 1), about half of them (the flower of 21 points at
-    # phase 1), and fewer as the run goes on (the 51-gon at phase 1, where
-    # some point moves every step)
+    # verify where RK4 stages repeat their differences to the bit: every
+    # stage (the 21-gon at phase 1), two of three though a point moves every
+    # step (the flower of 21 points at phase 1), and fewer as the run goes
+    # on (the 51-gon at phase 1)
     "generate --circle --n 21 --phase 1 --out c21.json",
     "generate --curve flower --n 21 --phase 1 --out f21.json",
     "generate --circle --n 51 --phase 1 --out c51.json",
