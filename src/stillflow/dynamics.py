@@ -166,9 +166,11 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
     """integrate's and fixedness_check's RK4 run. next() first checks, allocates
     and yields (z0, ceil(t_final / dt), events), then (t, z) after each step.
 
-    A stage whose pairwise differences repeat, to the bit, those last summed
-    copies the row written last (hit or miss: the combination overwrites
-    k3), and a step's check keeps the separation of differences it passed."""
+    The field depends on the pairwise differences alone, so a stage whose
+    differences repeat, to the bit, those last summed copies the previous
+    stage's row, and a step's check keeps the separation of differences it
+    passed. The key is one buffer for the whole run, compared by memcmp; it
+    starts all zero bits, which no differences are (their diagonal is inf)."""
     if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"need finite t_final > 0 and dt > 0, got t_final={t_final}, dt={dt}")
     z, gamma = _inputs(points, strengths)
@@ -183,45 +185,34 @@ def _rk4_run(points, strengths, t_final: float, dt: float):
     work = np.empty(n, dtype=np.complex128)
     events: list[CollisionEvent] = []
     warned: set[tuple[int, int]] = set()
-    # bytes of the differences last summed, whether a step's check passed them, the row written last
-    key, checked, last = b"", False, k4
+    summed = bytearray(diff.nbytes)  # the differences last summed
+    key = np.frombuffer(summed, dtype=diff.dtype).reshape(n, n)
+    checked = False  # whether a step's check passed the differences in summed
     sep, pair = math.inf, (0, 1)  # set by the first step's check
-
-    def evaluate(x, row, t=None):
-        """x's field into row, copied from last if the bytes of x's differences are
-        key. A step's first stage (t given) checks the separation first, unless
-        the differences are key and passed that check."""
-        nonlocal key, checked, last, sep, pair
-        same = (d := _differences(x, diff, diag).tobytes()) == key
-        if t is not None and not (same and checked):
-            np.abs(diff, out=gap)
-            pair = _closest_pair(gap)
-            sep = float(gap[pair])
-            if sep < DELTA_MIN_DEFAULT:
-                raise CollisionAbort(f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
-                                     f" (distance {sep:.3e})", time=t, pair=pair, distance=sep)
-            if sep < 10.0 * DELTA_MIN_DEFAULT and pair not in warned:
-                warned.add(pair)
-                events.append(CollisionEvent(t, pair, sep))
-        if same:
-            row[:] = last
-        else:
-            _field_sum(diff, gamma, row)
-            key, checked = d, False
-        checked = checked or t is not None
-        last = row
 
     yield z, steps, events
     t = 0.0
     while t < t_final - 1e-12 * max(t_final, 1.0):
         h = min(dt, t_final - t)
-        evaluate(z, k1, t)
-        np.add(z, np.multiply(0.5 * h, k1, out=work), out=work)
-        evaluate(work, k2)
-        np.add(z, np.multiply(0.5 * h, k2, out=work), out=work)
-        evaluate(work, k3)
-        np.add(z, np.multiply(h, k3, out=work), out=work)
-        evaluate(work, k4)
+        for row, c, prev in ((k1, None, k4), (k2, 0.5 * h, k1), (k3, 0.5 * h, k2), (k4, h, k3)):
+            x = z if c is None else np.add(z, np.multiply(c, prev, out=work), out=work)
+            same = summed == _differences(x, diff, diag)
+            if c is None and not (same and checked):
+                np.abs(diff, out=gap)
+                pair = _closest_pair(gap)
+                sep = float(gap[pair])
+                if sep < DELTA_MIN_DEFAULT:
+                    raise CollisionAbort(f"points {pair[0]} and {pair[1]} collided at t = {t:.6g}"
+                                         f" (distance {sep:.3e})", time=t, pair=pair, distance=sep)
+                if sep < 10.0 * DELTA_MIN_DEFAULT and pair not in warned:
+                    warned.add(pair)
+                    events.append(CollisionEvent(t, pair, sep))
+            if same:
+                row[:] = prev
+            else:
+                key[:] = diff  # before _field_sum overwrites diff with its terms
+                _field_sum(diff, gamma, row)
+            checked = (same and checked) or c is None
         # A non-finite stage makes reach NaN, which aborts like a blow-up.
         reach = h * float(np.abs(stages, out=speed).max())
         if not reach <= 0.25 * sep:
@@ -247,8 +238,7 @@ def integrate(points, strengths, t_final: float, dt: float = 1e-3) -> Trajectory
     a step whose RK4 stages would move a point by more than a quarter of the
     closest separation: past that, as near a collapsing pair, the distance
     can change faster than the collision check samples it. A stage whose
-    pairwise differences repeat those last summed to the bit reuses their
-    field, which depends on the differences alone.
+    differences repeat those last summed reuses their field (see _rk4_run).
 
     Raises
     ------
@@ -282,8 +272,7 @@ def fixedness_check(points, strengths, t_final: float = 1.0, dt: float = 1e-3) -
     bounds the speeds only below about ulp(|z|) / (2 dt), where each
     increment rounds away against its position; the kernel residual is
     the finer check. Where every increment rounds away against the
-    differences, each stage repeats those last summed to the bit, and the
-    run takes one field sum (integrate's reuse rule)."""
+    differences, the run takes one field sum (see _rk4_run)."""
     run = _rk4_run(points, strengths, t_final, dt)
     z0 = next(run)[0]
     far = np.zeros(z0.size)

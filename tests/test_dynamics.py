@@ -671,6 +671,18 @@ class TestMemory:
         assert drift <= 1e-12
         assert peak < 0.5e6
 
+    def test_a_moving_run_holds_under_three_pair_buffers(self):
+        # every stage of a moving system is summed: the run holds the pair
+        # buffer, its moduli and the differences last summed (2.5 x 16 N^2
+        # bytes), with no copy of the differences per stage
+        rng = np.random.default_rng(89)
+        n = 401
+        z = random_points(rng, n, min_gap=1e-3)
+        g = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        drift, peak = traced_peak(lambda: fixedness_check(z, g, 0.02, 1e-3))
+        assert drift > 0.0
+        assert peak < 3 * 16 * n * n
+
     def test_integrate_holds_little_beyond_its_result(self, g):
         traj, peak = traced_peak(lambda: integrate(self.Z, g, 0.4, 1e-4))
         assert traj.positions.shape == (4001, 51)

@@ -24,6 +24,7 @@ from stillflow import (
     Window,
     default_window,
     far_field_deviation,
+    point_velocities,
     solve_strengths,
     trace_streamline,
     velocity_at,
@@ -811,3 +812,41 @@ class TestFieldOracle:
         radius = factor * float(np.abs(z[:, None] - z).max())
         assert field_outcome(lambda: far_field_deviation(z, g, radius)) == \
             reference_far_field(z, g, radius)
+
+
+class TestOrthogonalTwin:
+    """Strengths i Gamma give the field -i v: the twin's velocity is v turned
+    a quarter turn clockwise, to the bit, and it is singular where v is.
+    Every sum runs in the same order on parts that only swap and change
+    sign, so each velocity compares equal under ==."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(probe_cases())
+    def test_velocity_at(self, case):
+        z, g, probe = case
+
+        def at(strengths):
+            try:
+                return velocity_at(z, strengths, probe)
+            except SingularPoint:
+                return None
+
+        v = at(g)
+        assert at(1j * g) == (None if v is None else -1j * v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattices())
+    def test_velocity_grid(self, case):
+        z, g, nx, ny = case
+        grid = velocity_grid(z, g, GRID_WINDOW, nx, ny)
+        twin = velocity_grid(z, 1j * g, GRID_WINDOW, nx, ny)
+        assert (twin.velocity == -1j * grid.velocity).all()
+        assert (twin.singular == grid.singular).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_point_velocities(self, n, seed):
+        rng = np.random.default_rng(seed)
+        z = random_points(rng, n, min_gap=1e-3)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert (point_velocities(z, 1j * g) == -1j * point_velocities(z, g)).all()

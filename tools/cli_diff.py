@@ -116,6 +116,11 @@ INVOCATIONS = [
         f"solve --in {name}.json --save-config {name}.solved.json",
         f"verify --in {name}.solved.json --t-final 0.75",
     )),
+    # the README's N = 201 verify row: about a third of its 4000 stages are
+    # summed, so the key of 201^2 differences is refreshed between copies
+    "generate --plane --n 201 --seed 3 --out p201.json",
+    "solve --in p201.json --save-config p201.solved.json",
+    "verify --in p201.solved.json --t-final 0.01 --dt 1e-5",
     "verify --in line7_tiny_solved.json",
     "verify --in c7.solved.json",
     "verify --in l21.solved.json",
